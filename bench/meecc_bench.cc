@@ -98,9 +98,10 @@ int usage(std::FILE* out) {
       "  perf [options]            host hot-path timing suite\n"
       "      --out PATH            JSON report (default BENCH_hotpath.json,\n"
       "                            '-' = stdout)\n"
-      "      --check               fail unless ttable AES is >= 2x faster\n"
-      "                            than the reference backend and snapshot\n"
-      "                            reuse reproduces fresh results exactly\n"
+      "      --check               fail unless snapshot reuse and bed\n"
+      "                            recycling reproduce fresh results\n"
+      "                            exactly and recycled trials allocate\n"
+      "                            <= 10%% of fresh ones\n"
       "      --compare PATH        diff kernels against a baseline report;\n"
       "                            fail if any is >15%% slower\n"
       "      --no-sweep            skip the fresh-vs-snapshot sweep section\n"

@@ -23,16 +23,21 @@ namespace {
 
 using namespace meecc;
 
-// Registered once per runnable backend from main() (the set depends on the
-// host CPU): BM_AesEncryptBlock/reference, /ttable, /aesni.
-void BM_AesEncryptBlock(benchmark::State& state, const std::string& backend) {
-  const auto aes = crypto::make_aes_backend(backend, crypto::Key128{1, 2, 3, 4});
+// Arg(0): the byte-wise reference cipher. Arg(1): the backend
+// make_aes_backend() picks on this CPU (AES-NI when available).
+void BM_AesEncryptBlock(benchmark::State& state) {
+  const crypto::Key128 key{1, 2, 3, 4};
+  const crypto::Aes128 reference(key);
+  const auto selected = crypto::make_aes_backend(key);
+  const bool use_reference = state.range(0) == 0;
+  state.SetLabel(use_reference ? "reference" : std::string(selected->name()));
   crypto::Block block{};
   for (auto _ : state) {
-    block = aes->encrypt(block);
+    block = use_reference ? reference.encrypt(block) : selected->encrypt(block);
     benchmark::DoNotOptimize(block);
   }
 }
+BENCHMARK(BM_AesEncryptBlock)->Arg(0)->Arg(1);
 
 // Arg(0): fresh nonce each iteration (keystream cache misses).
 // Arg(1): fixed nonce (keystream cache hits — the AES disappears).
@@ -167,16 +172,4 @@ BENCHMARK(BM_QuickstartEndToEnd)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (const std::string& name : crypto::aes_backend_names()) {
-    if (name == crypto::kAutoBackend || !crypto::aes_backend_available(name))
-      continue;
-    benchmark::RegisterBenchmark(("BM_AesEncryptBlock/" + name).c_str(),
-                                 BM_AesEncryptBlock, name);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

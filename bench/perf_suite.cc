@@ -107,8 +107,8 @@ struct QuickstartResult {
 };
 
 /// End-to-end: the quickstart covert-channel scenario (eviction-set build +
-/// transmission), using the default "auto" backend and pad cache — the
-/// configuration experiments actually run under.
+/// transmission), with the CPUID-selected AES backend and the pad cache —
+/// the configuration experiments actually run under.
 QuickstartResult run_quickstart() {
   channel::TestBed bed(channel::default_testbed_config(1));
   const auto payload = channel::alternating_bits(16);
@@ -633,7 +633,7 @@ void write_json(std::ostream& os,
     os << "\n    ]\n  }";
   }
   if (checked)
-    os << ",\n  \"check\": {\n    \"ttable_speedup_min\": 2.0,\n"
+    os << ",\n  \"check\": {\n"
        << "    \"passed\": " << (check_passed ? "true" : "false") << "\n  }";
   os << "\n}\n";
 }
@@ -663,25 +663,28 @@ int run_perf_suite(const PerfOptions& options) {
   // min-merge recover the true floor.
   constexpr int kKernelPasses = 3;
   const auto collect_kernels = [&] {
-  // --- AES block, one entry per backend this CPU can run ------------------
-  for (const std::string& name : crypto::aes_backend_names()) {
-    if (name == crypto::kAutoBackend || !crypto::aes_backend_available(name))
-      continue;
-    const auto aes = crypto::make_aes_backend(name, bench_key());
-    record("aes_block." + name, ns_per_op([&](std::uint64_t iters) {
+  // --- AES block: the reference cipher and the CPUID-selected backend ------
+  {
+    const crypto::Aes128 reference(bench_key());
+    record("aes_block.reference", ns_per_op([&](std::uint64_t iters) {
+             crypto::Block block{};
+             for (std::uint64_t i = 0; i < iters; ++i)
+               block = reference.encrypt(block);
+             keep(block);
+           }));
+  }
+  if (const auto aes = crypto::make_aes_backend(bench_key());
+      aes->name() == "aesni") {
+    record("aes_block.aesni", ns_per_op([&](std::uint64_t iters) {
              crypto::Block block{};
              for (std::uint64_t i = 0; i < iters; ++i)
                block = aes->encrypt(block);
              keep(block);
            }));
-  }
-
-  // --- multi-block AES: pipelined encrypt_blocks, ns per block ------------
-  // x8 is the depth the batched MEE walk and the keystream path feed the
-  // backend; on AES-NI the rounds pipeline across the independent blocks,
-  // so ns/block should land well under the single-block figure.
-  if (crypto::aes_backend_available("aesni")) {
-    const auto aes = crypto::make_aes_backend("aesni", bench_key());
+    // Pipelined encrypt_blocks, ns per block: the line keystream feeds the
+    // backend four independent counter blocks at a time, and on AES-NI the
+    // rounds pipeline across them, so ns/block lands well under the
+    // single-block figure.
     record("aes_block.aesni_x8", ns_per_op([&](std::uint64_t iters) {
              crypto::Block blocks[8]{};
              for (std::uint64_t i = 0; i < iters; i += 8)
@@ -752,57 +755,17 @@ int run_perf_suite(const PerfOptions& options) {
            }));
   }
 
-  // --- batched MAC verify: the walk's per-level checks, isolated ----------
-  // One iteration = the four per-level MAC checks of a cold walk, with the
-  // pad cache off so every check derives its pad. Serial pays one AES-block
-  // latency per level; batched derives all four pads through one
-  // encrypt_blocks() call. This pair isolates the batched-encrypt fraction
-  // that the full mee_walk kernels dilute with walk bookkeeping, so the
-  // gate catches the pipeline regressing even when mee_walk noise hides it.
-  {
-    crypto::MultilinearMac batch_mac(bench_key());
-    batch_mac.set_pad_cache_enabled(false);
-    constexpr std::size_t kLevels = 4;
-    crypto::LineData lines[kLevels];
-    crypto::MacRequest requests[kLevels];
-    for (std::size_t i = 0; i < kLevels; ++i) {
-      lines[i].fill(static_cast<std::uint8_t>(i + 1));
-      const std::uint64_t addr = 0x1000 + 0x40 * i;
-      requests[i] = {addr, i + 1, lines[i],
-                     batch_mac.tag(addr, i + 1, lines[i])};
-    }
-    record("mac_verify.serial", ns_per_op([&](std::uint64_t iters) {
-             std::uint64_t acc = 0;
-             for (std::uint64_t i = 0; i < iters; ++i)
-               for (const crypto::MacRequest& r : requests)
-                 acc += batch_mac.verify(r.address, r.version, r.data,
-                                         r.expected_tag);
-             keep(acc);
-           }));
-    record("mac_verify.batched", ns_per_op([&](std::uint64_t iters) {
-             std::uint64_t acc = 0;
-             for (std::uint64_t i = 0; i < iters; ++i)
-               acc += batch_mac.verify_batch(requests, kLevels);
-             keep(acc);
-           }));
-  }
-
   // --- MEE tree walk: cold (full walk to root) vs versions hit ------------
-  // The cold/batched pair is a direct A/B of the multi-block MAC pipeline.
-  // Two kernel conditions make the A/B honest (see DESIGN.md §6): the chunk
-  // is written once so every tree level carries a real MAC (a never-written
-  // chunk is all genesis nodes — zero MAC requests, nothing to batch), and
-  // the pad cache is off so each iteration's verify actually derives pads
-  // (the pad cache survives flush_all(), so with it on every walk after the
-  // first is all pad hits and both paths measure only walk bookkeeping).
+  // The chunk is written once so every tree level carries a real MAC (a
+  // never-written chunk is all genesis nodes and verifies no MAC at all).
+  // flush_all() empties the MEE cache but not the pad caches, so after the
+  // first iteration a cold walk verifies four MACs with warm pads — the
+  // walk as a prime+probe loop re-walking an evicted chunk sees it.
   {
     const mem::AddressMap map(
         mem::AddressMapConfig{.general_size = 1 << 20, .epc_size = 4 << 20});
     mem::PhysicalMemory memory;
-    mee::MeeConfig serial_config;
-    serial_config.batched_walks = false;
-    serial_config.pad_cache = false;
-    mee::MeeEngine engine(map, memory, serial_config, Rng(1));
+    mee::MeeEngine engine(map, memory, mee::MeeConfig{}, Rng(1));
     const PhysAddr addr = map.protected_data().base;
     engine.write_line(CoreId{0}, addr, mem::Line{});  // materialize the MACs
     record("mee_walk.cold", ns_per_op(
@@ -818,21 +781,6 @@ int run_perf_suite(const PerfOptions& options) {
              for (std::uint64_t i = 0; i < iters; ++i)
                keep(engine.read_line(CoreId{0}, addr));
            }));
-
-    mem::PhysicalMemory batched_memory;
-    mee::MeeConfig batched_config;
-    batched_config.pad_cache = false;
-    mee::MeeEngine batched(map, batched_memory, batched_config, Rng(1));
-    batched.write_line(CoreId{0}, addr, mem::Line{});
-    record("mee_walk.batched",
-           ns_per_op(
-               [&](std::uint64_t iters) {
-                 for (std::uint64_t i = 0; i < iters; ++i) {
-                   batched.mutable_cache().flush_all();
-                   keep(batched.read_line(CoreId{0}, addr));
-                 }
-               },
-               /*min_seconds=*/0.05, /*start_iters=*/16));
   }
 
   // --- scheduler: per-event dispatch and spawn/complete churn -------------
@@ -871,18 +819,17 @@ int run_perf_suite(const PerfOptions& options) {
     collect_kernels();
   }
 
-  // Speedup ratios and the --check threshold read the merged minima, so
-  // both operands come from the same (cleanest-window) estimator.
-  double reference_ns = 0.0, ttable_ns = 0.0;
+  // The speedup ratio reads the merged minima, so both operands come from
+  // the same (cleanest-window) estimator.
+  double reference_ns = 0.0, aesni_ns = 0.0;
   for (const auto& [name, ns] : kernels) {
     if (name == "aes_block.reference") reference_ns = ns;
-    if (name == "aes_block.ttable") ttable_ns = ns;
+    if (name == "aes_block.aesni") aesni_ns = ns;
   }
   std::vector<std::pair<std::string, double>> speedups;
-  for (const auto& [name, ns] : kernels)
-    if (name.rfind("aes_block.", 0) == 0 && name != "aes_block.reference" &&
-        name != "aes_block.aesni_x8" && reference_ns > 0.0 && ns > 0.0)
-      speedups.emplace_back(name + "_vs_reference", reference_ns / ns);
+  if (reference_ns > 0.0 && aesni_ns > 0.0)
+    speedups.emplace_back("aes_block.aesni_vs_reference",
+                          reference_ns / aesni_ns);
 
   // --- end to end ---------------------------------------------------------
   std::fprintf(stderr, "  quickstart end-to-end...\n");
@@ -959,11 +906,6 @@ int run_perf_suite(const PerfOptions& options) {
 
   bool check_passed = true;
   if (options.check) {
-    const double speedup =
-        ttable_ns > 0.0 && reference_ns > 0.0 ? reference_ns / ttable_ns : 0.0;
-    check_passed = speedup >= 2.0;
-    std::fprintf(stderr, "check: ttable %.1fx reference (needs >= 2.0x): %s\n",
-                 speedup, check_passed ? "ok" : "FAIL");
     if (options.run_sweep && !sweep.identical_results) {
       std::fprintf(stderr,
                    "check: snapshot-reuse results differ from fresh: FAIL\n");

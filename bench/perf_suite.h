@@ -1,9 +1,10 @@
 // The `meecc_bench perf` subcommand: a dependency-free (no google-benchmark)
 // hot-path timing suite that emits BENCH_hotpath.json — the tracked perf
 // baseline CI compares against. Kernels cover every layer the covert-channel
-// experiments stress: raw AES blocks per backend, line encryption and MAC
-// tagging with the keystream/pad cache cold and hot, MEE tree walks,
-// scheduler dispatch, and the end-to-end quickstart scenario (walks/sec).
+// experiments stress: raw AES blocks (reference and the CPUID-selected
+// backend), line encryption and MAC tagging with the keystream/pad cache
+// cold and hot, MEE tree walks, scheduler dispatch, and the end-to-end
+// quickstart scenario (walks/sec).
 // A `sweep` section times a setup-heavy mitigations sweep fresh vs with
 // snapshot/fork setup reuse and records the speedup plus a byte-level
 // equality check of the two result sets.
@@ -15,9 +16,10 @@ namespace meecc::bench {
 
 struct PerfOptions {
   std::string out_path = "BENCH_hotpath.json";  ///< "-" = stdout
-  /// Enforce the tracked expectations (ttable at least 2x faster than
-  /// reference AES; snapshot-reuse results identical to fresh) and make
-  /// the exit code nonzero when they fail.
+  /// Enforce the tracked expectations (snapshot-reuse and recycled-bed
+  /// results identical to fresh; recycled and streaming trials allocating
+  /// a small fraction of fresh ones) and make the exit code nonzero when
+  /// they fail.
   bool check = false;
   /// Baseline BENCH_hotpath.json to diff against: prints per-kernel deltas
   /// and fails (nonzero exit) when any kernel is more than 15% slower than

@@ -15,11 +15,13 @@ set -euo pipefail
 #             -Werror); runs as its own CI job so shadowing regressions fail
 #             without holding up the main matrix
 #   perf      Release build; runs the crypto/scheduler micro-kernels and
-#             `meecc_bench perf --check` (fails if the ttable AES backend is
-#             not at least 2x the reference, if the campaign macro-benchmark's
-#             recycled and fresh sweeps diverge, or if recycling allocates
-#             more than 10% of the fresh path's allocations per trial),
-#             leaving BENCH_hotpath.json in $ROOT/ci-artifacts for upload
+#             `meecc_bench perf --check` (fails if the campaign
+#             macro-benchmark's recycled and fresh sweeps diverge, or if
+#             recycling allocates more than 10% of the fresh path's
+#             allocations per trial), leaving BENCH_hotpath.json in
+#             $ROOT/ci-artifacts for upload; then the repository benchmark's
+#             smoke test (perfbench/test_smoke.py), so a src/ API change
+#             that breaks the benchmark build fails here
 #   nosimd    -DMEECC_NO_SIMD=ON build (portable scalar tag probe); runs the
 #             unit and golden-trace tiers so the scalar cache-probe path
 #             proves the same golden traces as the SIMD one
@@ -86,16 +88,19 @@ elif [ "$STAGE" = "perf" ]; then
     --benchmark_filter='BM_(AesEncryptBlock|LineEncrypt|MultilinearTag|SchedulerDispatch|SchedulerChurn)' \
     --benchmark_min_time=0.05
   # The tracked suite: BENCH_hotpath.json is the uploadable baseline;
-  # --check enforces ttable >= 2x reference AES, that snapshot-reuse and
-  # bed-recycling sweep results are byte-identical to fresh ones, and that
-  # the campaign macro-benchmark's recycled path allocates <= 10% of the
-  # fresh path's allocations per trial; --compare fails the stage when any
+  # --check enforces that snapshot-reuse and bed-recycling sweep results are
+  # byte-identical to fresh ones, and that the campaign macro-benchmark's
+  # recycled path allocates <= 10% of the fresh path's allocations per
+  # trial; --compare fails the stage when any
   # tracked kernel regresses >15% against the committed baseline (timing
   # kernels on CPU-time clocks, the campaign on allocation counts — the
   # only campaign metric stable enough on shared CI runners to gate on;
   # throughput stays in the JSON's "campaign" section for humans).
   "$DIR/bench/meecc_bench" perf --out "$ARTIFACTS/BENCH_hotpath.json" --check \
     --compare "$ROOT/BENCH_hotpath.json"
+  # The repository benchmark builds src/ on its own (perfbench/CMakeLists.txt);
+  # its tiny-size smoke run catches API drift between the two.
+  (cd "$ROOT" && python3 perfbench/test_smoke.py)
   echo "CI OK (perf)"
   exit 0
 elif [ "$STAGE" = "nosimd" ]; then

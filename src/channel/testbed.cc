@@ -250,7 +250,7 @@ TestBedSnapshot decode_testbed_snapshot(io::Reader& r, sim::System& shape) {
   for (auto& actor : snap.actors) {
     actor.clock = r.u64();
     actor.rng = decode_rng(r);
-    const std::uint64_t page_count = r.u64();
+    const std::uint64_t page_count = r.count(16);  // vpn + pfn
     std::vector<std::pair<std::uint64_t, std::uint64_t>> pages;
     pages.reserve(static_cast<std::size_t>(page_count));
     for (std::uint64_t i = 0; i < page_count; ++i) {

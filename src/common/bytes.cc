@@ -52,6 +52,14 @@ std::uint32_t Reader::u32() {
 std::uint64_t Reader::u64() { return load_le(need(8), 8); }
 double Reader::f64() { return std::bit_cast<double>(u64()); }
 
+std::uint64_t Reader::count(std::size_t min_bytes_per_item) {
+  const std::uint64_t n = u64();
+  if (min_bytes_per_item != 0 && n > remaining() / min_bytes_per_item)
+    throw DecodeError("item count " + std::to_string(n) +
+                      " exceeds remaining payload");
+  return n;
+}
+
 std::string Reader::str() {
   const std::uint64_t n = u64();
   if (n > remaining())

@@ -61,6 +61,11 @@ class Reader {
   double f64();
   std::string str();
   void bytes(void* out, std::size_t n);
+  /// Reads a u64 item count for a decoder about to size an allocation from
+  /// it. Throws DecodeError when `count` items of at least
+  /// `min_bytes_per_item` bytes each cannot fit in the remaining payload,
+  /// so a corrupted count fails the decode instead of the allocator.
+  std::uint64_t count(std::size_t min_bytes_per_item);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }

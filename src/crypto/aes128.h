@@ -3,9 +3,9 @@
 // The MEE model uses real cryptography — protected lines in simulated DRAM
 // are genuinely ciphertext and tree MACs genuinely verify — so tampering
 // tests exercise the same code paths a hardware MEE would. This is the
-// straightforward table-free byte implementation: the "reference" entry in
-// the backend registry (crypto/aes_backend.h) and the oracle the fast
-// backends (ttable, aesni) are validated against.
+// straightforward table-free byte implementation: the "reference" backend
+// (crypto/aes_backend.h) on CPUs without AES-NI, and the oracle the AES-NI
+// backend is validated against.
 #pragma once
 
 #include <array>

@@ -4,13 +4,12 @@
 
 namespace meecc::crypto {
 
-LineCipher::LineCipher(const Key128& key, std::string_view aes_backend)
-    : aes_(make_aes_backend(aes_backend, key)) {}
+LineCipher::LineCipher(const Key128& key) : aes_(make_aes_backend(key)) {}
 
 LineData LineCipher::compute_keystream(std::uint64_t address,
                                        std::uint64_t version) const {
   // The four counter blocks are independent, so one multi-block call lets
-  // hardware backends pipeline across them.
+  // the AES-NI backend pipeline across them.
   std::array<Block, 4> counters{};
   for (std::uint32_t block = 0; block < 4; ++block) {
     std::memcpy(counters[block].data(), &address, 8);

@@ -5,7 +5,7 @@
 // ciphertext (freshness), and moving ciphertext between addresses breaks
 // decryption (spatial binding).
 //
-// Hot path: the AES block function runs through a selectable backend
+// Hot path: the AES block function runs through the CPUID-selected backend
 // (crypto/aes_backend.h), and computed keystreams are cached by their
 // (address, version) nonce — repeated walks over the same hot lines (the
 // prime+probe common case) skip AES entirely. A version bump changes the
@@ -15,7 +15,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 
 #include "crypto/aes_backend.h"
 #include "crypto/pad_cache.h"
@@ -26,8 +25,7 @@ using LineData = std::array<std::uint8_t, 64>;
 
 class LineCipher {
  public:
-  explicit LineCipher(const Key128& key,
-                      std::string_view aes_backend = kAutoBackend);
+  explicit LineCipher(const Key128& key);
 
   /// Encrypts one 64 B line. `address` is the line's physical address,
   /// `version` the 56-bit freshness counter for the line.
@@ -38,11 +36,7 @@ class LineCipher {
   LineData decrypt(const LineData& ciphertext, std::uint64_t address,
                    std::uint64_t version) const;
 
-  /// The concrete AES backend in use ("auto" resolved at construction).
-  std::string_view backend_name() const { return aes_->name(); }
-
-  /// Keystream cache controls (on by default); see crypto/pad_cache.h.
-  void set_pad_cache_enabled(bool enabled) { cache_.set_enabled(enabled); }
+  /// Keystream-cache hit/miss counters; see crypto/pad_cache.h.
   void set_pad_counters(obs::Counter hit, obs::Counter miss) {
     cache_.set_counters(hit, miss);
   }

@@ -6,8 +6,7 @@
 
 namespace meecc::crypto {
 
-MacFunction::MacFunction(const Key128& key, std::string_view aes_backend)
-    : aes_(make_aes_backend(aes_backend, key)) {}
+MacFunction::MacFunction(const Key128& key) : aes_(make_aes_backend(key)) {}
 
 std::uint64_t MacFunction::tag(std::uint64_t address, std::uint64_t version,
                                std::span<const std::uint8_t> data) const {

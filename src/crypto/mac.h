@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 
 #include "crypto/aes_backend.h"
 
@@ -21,8 +20,7 @@ inline constexpr std::uint64_t kMacMask = (1ULL << 56) - 1;
 
 class MacFunction {
  public:
-  explicit MacFunction(const Key128& key,
-                       std::string_view aes_backend = kAutoBackend);
+  explicit MacFunction(const Key128& key);
 
   /// 56-bit tag over (address, version, data). `data` length must be a
   /// multiple of 16 bytes (the MEE always authenticates whole lines).

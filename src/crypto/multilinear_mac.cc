@@ -13,20 +13,8 @@ bool MacScheme::verify(std::uint64_t address, std::uint64_t version,
   return tag(address, version, data) == (expected_tag & kMacMask);
 }
 
-std::size_t MacScheme::verify_batch(const MacRequest* requests,
-                                    std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    const MacRequest& request = requests[i];
-    if (!verify(request.address, request.version, request.data,
-                request.expected_tag))
-      return i;
-  }
-  return n;
-}
-
-MultilinearMac::MultilinearMac(const Key128& key, std::size_t max_data_bytes,
-                               std::string_view aes_backend)
-    : aes_(make_aes_backend(aes_backend, key)) {
+MultilinearMac::MultilinearMac(const Key128& key, std::size_t max_data_bytes)
+    : aes_(make_aes_backend(key)) {
   MEECC_CHECK(max_data_bytes % 16 == 0 && max_data_bytes > 0);
   // Expand key words with AES-CTR over a fixed label: two 64-bit words per
   // encrypted block, one key word per 32-bit message word.
@@ -47,19 +35,15 @@ MultilinearMac::MultilinearMac(const Key128& key, std::size_t max_data_bytes,
   }
 }
 
-Block MultilinearMac::pad_block(std::uint64_t address, std::uint64_t version) {
-  Block in{};
-  in[0] = 0x50;  // 'P'
-  std::memcpy(in.data() + 1, &address, 7);
-  std::memcpy(in.data() + 8, &version, 8);
-  return in;
-}
-
 std::uint64_t MultilinearMac::pad(std::uint64_t address,
                                   std::uint64_t version) const {
   if (const std::uint64_t* cached = pad_cache_.find(address, version))
     return *cached;
-  const Block out = aes_->encrypt(pad_block(address, version));
+  Block in{};
+  in[0] = 0x50;  // 'P'
+  std::memcpy(in.data() + 1, &address, 7);
+  std::memcpy(in.data() + 8, &version, 8);
+  const Block out = aes_->encrypt(in);
   std::uint64_t p = 0;
   std::memcpy(&p, out.data(), 8);
   pad_cache_.insert(address, version, p);
@@ -89,64 +73,12 @@ std::uint64_t MultilinearMac::tag(std::uint64_t address, std::uint64_t version,
   return (inner_product(data) + pad(address, version)) & kMacMask;
 }
 
-std::size_t MultilinearMac::verify_batch(const MacRequest* requests,
-                                         std::size_t n) const {
-  // Probe the pad cache for every request first (in request order, so the
-  // hit/miss counters tally exactly as a serial loop would for distinct
-  // nonces), then derive all the missing pads with one pipelined AES call.
-  constexpr std::size_t kInline = 8;
-  if (n > kInline) {
-    // Larger batches than the walk ever produces: fall back per chunk.
-    std::size_t done = 0;
-    while (done < n) {
-      const std::size_t take = n - done < kInline ? n - done : kInline;
-      const std::size_t bad = verify_batch(requests + done, take);
-      if (bad < take) return done + bad;
-      done += take;
-    }
-    return n;
-  }
-  std::uint64_t pads[kInline];
-  Block miss_blocks[kInline];
-  std::size_t miss_index[kInline];
-  std::size_t misses = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const MacRequest& request = requests[i];
-    if (const std::uint64_t* cached =
-            pad_cache_.find(request.address, request.version)) {
-      pads[i] = *cached;
-    } else {
-      miss_blocks[misses] = pad_block(request.address, request.version);
-      miss_index[misses] = i;
-      ++misses;
-    }
-  }
-  if (misses > 0) {
-    Block outs[kInline];
-    aes_->encrypt_blocks(miss_blocks, outs, misses);
-    for (std::size_t m = 0; m < misses; ++m) {
-      const std::size_t i = miss_index[m];
-      std::uint64_t p = 0;
-      std::memcpy(&p, outs[m].data(), 8);
-      pad_cache_.insert(requests[i].address, requests[i].version, p);
-      pads[i] = p;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t computed =
-        (inner_product(requests[i].data) + pads[i]) & kMacMask;
-    if (computed != (requests[i].expected_tag & kMacMask)) return i;
-  }
-  return n;
-}
-
 namespace {
 
 /// Adapter presenting the CBC construction through the MacScheme interface.
 class CbcMacScheme final : public MacScheme {
  public:
-  explicit CbcMacScheme(const Key128& key, std::string_view aes_backend)
-      : mac_(key, aes_backend) {}
+  explicit CbcMacScheme(const Key128& key) : mac_(key) {}
   std::uint64_t tag(std::uint64_t address, std::uint64_t version,
                     std::span<const std::uint8_t> data) const override {
     return mac_.tag(address, version, data);
@@ -158,14 +90,12 @@ class CbcMacScheme final : public MacScheme {
 
 }  // namespace
 
-std::unique_ptr<MacScheme> make_mac_scheme(MacKind kind, const Key128& key,
-                                           std::string_view aes_backend) {
+std::unique_ptr<MacScheme> make_mac_scheme(MacKind kind, const Key128& key) {
   switch (kind) {
     case MacKind::kCbcMac:
-      return std::make_unique<CbcMacScheme>(key, aes_backend);
+      return std::make_unique<CbcMacScheme>(key);
     case MacKind::kMultilinear:
-      return std::make_unique<MultilinearMac>(key, /*max_data_bytes=*/64,
-                                              aes_backend);
+      return std::make_unique<MultilinearMac>(key, /*max_data_bytes=*/64);
   }
   MEECC_CHECK_MSG(false, "unknown MAC kind");
   return nullptr;

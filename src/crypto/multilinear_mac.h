@@ -24,21 +24,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "crypto/aes_backend.h"
 #include "crypto/pad_cache.h"
 
 namespace meecc::crypto {
-
-/// One element of a verify_batch() call.
-struct MacRequest {
-  std::uint64_t address = 0;
-  std::uint64_t version = 0;
-  std::span<const std::uint8_t> data;
-  std::uint64_t expected_tag = 0;
-};
 
 /// Common interface for the MEE's line-authentication function.
 class MacScheme {
@@ -54,20 +45,9 @@ class MacScheme {
               std::span<const std::uint8_t> data,
               std::uint64_t expected_tag) const;
 
-  /// Verifies `n` independent requests and returns the index of the FIRST
-  /// failing one in array order, or `n` when all pass — exactly the verdict
-  /// a serial loop of verify() calls would reach. The base implementation
-  /// IS that loop; schemes with a cacheable pad override it to derive every
-  /// missing pad in one multi-block AES call. Results are always identical
-  /// to serial verification. Precondition for identical pad hit/miss
-  /// accounting: the requests carry pairwise-distinct (address, version)
-  /// nonces (an MEE walk batch always does — one node per tree level).
-  virtual std::size_t verify_batch(const MacRequest* requests,
-                                   std::size_t n) const;
-
-  /// Pad-cache hooks; no-ops for schemes without a cacheable pad (CBC-MAC
-  /// feeds the data through AES, so there is nothing nonce-keyed to cache).
-  virtual void set_pad_cache_enabled(bool) {}
+  /// Pad-cache counter hook; a no-op for schemes without a cacheable pad
+  /// (CBC-MAC feeds the data through AES, so there is nothing nonce-keyed
+  /// to cache).
   virtual void set_pad_counters(obs::Counter /*hit*/, obs::Counter /*miss*/) {}
 
   /// Opaque pad-cache contents for snapshot/fork. Schemes without a pad
@@ -95,20 +75,11 @@ class MultilinearMac final : public MacScheme {
  public:
   /// `max_data_bytes` bounds the message length (key words are expanded
   /// once); the MEE authenticates single 64 B lines.
-  explicit MultilinearMac(const Key128& key, std::size_t max_data_bytes = 64,
-                          std::string_view aes_backend = kAutoBackend);
+  explicit MultilinearMac(const Key128& key, std::size_t max_data_bytes = 64);
 
   std::uint64_t tag(std::uint64_t address, std::uint64_t version,
                     std::span<const std::uint8_t> data) const override;
 
-  /// Batched verification: one pad-cache probe per request (in order), one
-  /// encrypt_blocks() over all the misses, then the cheap inner products.
-  std::size_t verify_batch(const MacRequest* requests,
-                           std::size_t n) const override;
-
-  void set_pad_cache_enabled(bool enabled) override {
-    pad_cache_.set_enabled(enabled);
-  }
   void set_pad_counters(obs::Counter hit, obs::Counter miss) override {
     pad_cache_.set_counters(hit, miss);
   }
@@ -131,8 +102,6 @@ class MultilinearMac final : public MacScheme {
   std::uint64_t pad(std::uint64_t address, std::uint64_t version) const;
   /// The universal-hash part of the tag (everything except the pad).
   std::uint64_t inner_product(std::span<const std::uint8_t> data) const;
-  /// AES-CTR input block for the pad of (address, version).
-  static Block pad_block(std::uint64_t address, std::uint64_t version);
 
   std::unique_ptr<const AesBackend> aes_;
   std::vector<std::uint64_t> key_words_;  // one 64-bit word per 32-bit m_i
@@ -140,8 +109,6 @@ class MultilinearMac final : public MacScheme {
 };
 
 /// Factory used by the MEE engine.
-std::unique_ptr<MacScheme> make_mac_scheme(
-    MacKind kind, const Key128& key,
-    std::string_view aes_backend = kAutoBackend);
+std::unique_ptr<MacScheme> make_mac_scheme(MacKind kind, const Key128& key);
 
 }  // namespace meecc::crypto

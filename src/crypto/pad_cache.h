@@ -9,8 +9,8 @@
 // stale pad: the new (address, version) pair simply misses and refills.
 //
 // Direct-mapped with a fixed slot count: O(1) lookup, bounded memory, and
-// fully deterministic (no host-dependent eviction order), so cached and
-// uncached runs produce byte-identical simulation results.
+// fully deterministic (no host-dependent eviction order), so a hit returns
+// exactly the pad a fresh AES computation would.
 #pragma once
 
 #include <array>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/check.h"
 #include "obs/counters.h"
 
 namespace meecc::crypto {
@@ -39,18 +38,7 @@ void decode_pad(io::Reader& r, std::array<std::uint8_t, N>& pad) {
 template <typename Pad>
 class PadCache {
  public:
-  static constexpr std::size_t kDefaultSlots = 4096;  // power of two
-
-  explicit PadCache(std::size_t slots = kDefaultSlots) : slots_(slots) {
-    MEECC_CHECK(slots != 0 && (slots & (slots - 1)) == 0);
-  }
-
-  bool enabled() const { return enabled_; }
-  /// Disabling also drops residents, so re-enabling starts cold.
-  void set_enabled(bool enabled) {
-    enabled_ = enabled;
-    entries_.clear();
-  }
+  static constexpr std::size_t kSlots = 4096;  // power of two
 
   /// Counter handles for hit/miss accounting (typically crypto.pad.hit and
   /// crypto.pad.miss from the owning engine's registry). Several caches may
@@ -63,8 +51,7 @@ class PadCache {
   /// Resident pad for the nonce, or nullptr on a miss (counts either way).
   /// The pointer is valid until the next insert.
   const Pad* find(std::uint64_t address, std::uint64_t version) {
-    if (!enabled_) return nullptr;
-    if (entries_.empty()) entries_.resize(slots_);
+    if (entries_.empty()) entries_.resize(kSlots);
     Entry& entry = entries_[slot(address, version)];
     if (entry.valid && entry.address == address && entry.version == version) {
       hits_.inc();
@@ -74,22 +61,17 @@ class PadCache {
     return nullptr;
   }
 
-  /// Copies another cache's residents (slot table, enabled flag) while
-  /// keeping this cache's own counter handles — the snapshot/fork path,
-  /// where the donor belongs to a different System whose counters are gone.
-  void adopt_contents(const PadCache& other) {
-    slots_ = other.slots_;
-    enabled_ = other.enabled_;
-    entries_ = other.entries_;
-  }
+  /// Copies another cache's residents (slot table) while keeping this
+  /// cache's own counter handles — the snapshot/fork path, where the donor
+  /// belongs to a different System whose counters are gone.
+  void adopt_contents(const PadCache& other) { entries_ = other.entries_; }
 
-  /// Snapshot wire format: residents + enabled flag + slot count. Counter
-  /// handles stay local, mirroring adopt_contents(). Invalid entries are
-  /// stored as one flag byte — a direct-mapped slot only ever transitions
-  /// default → valid, so eliding them loses nothing.
+  /// Snapshot wire format: slot count + residents. Counter handles stay
+  /// local, mirroring adopt_contents(). Invalid entries are stored as one
+  /// flag byte — a direct-mapped slot only ever transitions default →
+  /// valid, so eliding them loses nothing.
   void encode_state(io::Writer& w) const {
-    w.u64(slots_);
-    w.u8(enabled_ ? 1 : 0);
+    w.u64(kSlots);
     w.u8(entries_.empty() ? 0 : 1);
     for (const Entry& entry : entries_) {
       w.u8(entry.valid ? 1 : 0);
@@ -100,15 +82,14 @@ class PadCache {
     }
   }
 
+  /// The stored slot count must equal kSlots, so a foreign or corrupted
+  /// count is rejected before the slot table is allocated.
   void decode_state(io::Reader& r) {
-    const std::uint64_t slots = r.u64();
-    if (slots == 0 || (slots & (slots - 1)) != 0)
-      throw io::DecodeError("pad-cache slot count is not a power of two");
-    slots_ = static_cast<std::size_t>(slots);
-    enabled_ = r.u8() != 0;
+    if (r.u64() != kSlots)
+      throw io::DecodeError("pad-cache slot count mismatch");
     entries_.clear();
     if (r.u8() == 0) return;  // donor never allocated its slot table
-    entries_.resize(slots_);
+    entries_.resize(kSlots);
     for (Entry& entry : entries_) {
       if (r.u8() == 0) continue;
       entry.address = r.u64();
@@ -118,10 +99,9 @@ class PadCache {
     }
   }
 
-  /// Installs the pad for the nonce (no-op when disabled).
+  /// Installs the pad for the nonce.
   void insert(std::uint64_t address, std::uint64_t version, const Pad& pad) {
-    if (!enabled_) return;
-    if (entries_.empty()) entries_.resize(slots_);
+    if (entries_.empty()) entries_.resize(kSlots);
     Entry& entry = entries_[slot(address, version)];
     entry.address = address;
     entry.version = version;
@@ -142,11 +122,9 @@ class PadCache {
     // bits, so mix before masking.
     const std::uint64_t mixed =
         (address ^ (version * 0x9e3779b97f4a7c15ull)) * 0xff51afd7ed558ccdull;
-    return static_cast<std::size_t>(mixed >> 32) & (slots_ - 1);
+    return static_cast<std::size_t>(mixed >> 32) & (kSlots - 1);
   }
 
-  std::size_t slots_;
-  bool enabled_ = true;
   std::vector<Entry> entries_;  // allocated lazily on first use
   obs::Counter hits_;
   obs::Counter misses_;

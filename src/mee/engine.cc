@@ -50,9 +50,8 @@ MeeEngine::MeeEngine(const mem::AddressMap& map, mem::PhysicalMemory& memory,
       config_(config),
       geometry_(map),
       cache_(config.cache_geometry, config.cache_policy, rng.fork()),
-      cipher_(config.data_key, config.aes_backend),
-      mac_(crypto::make_mac_scheme(config.mac_kind, config.mac_key,
-                                   config.aes_backend)),
+      cipher_(config.data_key),
+      mac_(crypto::make_mac_scheme(config.mac_kind, config.mac_key)),
       root_counters_(geometry_.root_entries(), 0),
       rng_(rng),
       hub_(hub) {
@@ -82,9 +81,7 @@ MeeEngine::MeeEngine(const mem::AddressMap& map, mem::PhysicalMemory& memory,
   // crypto.pad.* reflects all nonce-keyed AES the engine avoided.
   const auto pad_hit = registry.counter("crypto.pad", "hit");
   const auto pad_miss = registry.counter("crypto.pad", "miss");
-  cipher_.set_pad_cache_enabled(config_.pad_cache);
   cipher_.set_pad_counters(pad_hit, pad_miss);
-  mac_->set_pad_cache_enabled(config_.pad_cache);
   mac_->set_pad_counters(pad_hit, pad_miss);
 }
 
@@ -202,70 +199,6 @@ void MeeEngine::verify_node(Level level, std::uint64_t chunk) {
   mac_node_verifies_.inc();
 }
 
-void MeeEngine::verify_walk_batched(const WalkResult& walk,
-                                    std::uint64_t chunk) {
-  // Top-down gather of the walk's independent MAC checks. Genesis nodes
-  // verify inline (their check is parent == 0 — no MAC); a genesis mismatch
-  // ends the gather, since the serial path examines nothing below it. The
-  // decoded payloads must outlive the batch call (the requests hold spans
-  // into them).
-  crypto::MacRequest requests[kDramLevels];
-  std::array<std::array<std::uint8_t, 64>, kDramLevels> payloads;
-  Level request_level[kDramLevels];
-  PhysAddr request_addr[kDramLevels];
-  std::uint32_t request_pos[kDramLevels];
-  std::size_t n = 0;
-  std::uint32_t pos = 0;  // nodes examined so far, top-down
-  bool genesis_fail = false;
-  Level fail_level = Level::kVersions;
-  PhysAddr fail_addr{};
-  for (std::uint32_t i = walk.fetched_count; i-- > 0;) {
-    const Level level = walk.fetched[i];
-    const PhysAddr addr = geometry_.node_addr(level, chunk);
-    const std::uint64_t parent = parent_counter(level, chunk);
-    const mem::Line* raw = memory_.find_line(addr);
-    TreeNode node;
-    bool genesis = raw == nullptr;
-    if (!genesis) {
-      node = decode_node(*raw);
-      genesis = node.is_genesis();
-    }
-    if (genesis) {
-      if (parent != 0) {
-        genesis_fail = true;
-        fail_level = level;
-        fail_addr = addr;
-        break;
-      }
-      ++pos;
-      continue;
-    }
-    payloads[n] = counter_payload(node);
-    requests[n] = crypto::MacRequest{.address = addr.raw,
-                                     .version = parent,
-                                     .data = payloads[n],
-                                     .expected_tag = node.mac};
-    request_level[n] = level;
-    request_addr[n] = addr;
-    request_pos[n] = pos;
-    ++n;
-    ++pos;
-  }
-  const std::size_t bad = mac_->verify_batch(requests, n);
-  if (bad < n) {
-    // The serial loop verified (and counted) every node before the first
-    // failing one, then threw there; replicate exactly.
-    mac_node_verifies_.inc(request_pos[bad]);
-    tampers_.inc();
-    throw TamperDetected(request_level[bad], request_addr[bad]);
-  }
-  mac_node_verifies_.inc(pos);
-  if (genesis_fail) {
-    tampers_.inc();
-    throw TamperDetected(fail_level, fail_addr);
-  }
-}
-
 MeeEngine::WalkResult MeeEngine::walk_and_verify(CoreId core,
                                                  std::uint64_t chunk) {
   WalkResult result;
@@ -284,16 +217,9 @@ MeeEngine::WalkResult MeeEngine::walk_and_verify(CoreId core,
   // it was verified in an earlier iteration of this loop. Tamper accounting
   // lives in verify_node's throw sites: wrapping this loop in try/catch puts
   // an EH region on the cold-walk hot path and costs ~25% even when tracing
-  // is compiled out. The parent counters come from memory/root state, never
-  // from the verification results, so the checks are independent and a
-  // multi-node walk can batch them (one pipelined AES call for the pads).
-  if (config_.batched_walks && config_.functional_crypto &&
-      result.fetched_count > 1) {
-    verify_walk_batched(result, chunk);
-  } else {
-    for (std::uint32_t i = result.fetched_count; i-- > 0;)
-      verify_node(result.fetched[i], chunk);
-  }
+  // is compiled out.
+  for (std::uint32_t i = result.fetched_count; i-- > 0;)
+    verify_node(result.fetched[i], chunk);
 
   // Install the now-verified nodes, top-down so the versions line ends up
   // most recently used (it is re-checked on every subsequent access). The

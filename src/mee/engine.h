@@ -92,22 +92,6 @@ struct MeeConfig {
   /// MAC construction for tree nodes and PD_Tags. The multilinear scheme
   /// mirrors the real MEE's Carter-Wegman design (Gueron, 2016).
   crypto::MacKind mac_kind = crypto::MacKind::kMultilinear;
-  /// AES implementation for the line cipher and MACs ("reference",
-  /// "ttable", "aesni", or "auto" = fastest this CPU supports). Every
-  /// backend computes bit-identical AES, so traces never depend on it.
-  std::string aes_backend = std::string(crypto::kAutoBackend);
-  /// Cache AES keystreams/MAC pads by (address, version) — a pure host-side
-  /// speedup (coherent by construction: a version bump changes the key).
-  /// Hits/misses appear as crypto.pad.hit / crypto.pad.miss.
-  bool pad_cache = true;
-  /// Gather the independent per-level MAC checks of a verify walk and issue
-  /// their pad AES through one multi-block call (AesBackend::encrypt_blocks)
-  /// instead of node-at-a-time — a pure host-side speedup: verdicts, traces
-  /// and counter totals are identical to the serial path (on a tamper the
-  /// batch may probe pads the serial path never reaches before throwing the
-  /// same first TamperDetected). Off = the serial reference path, kept for
-  /// A/B equivalence tests.
-  bool batched_walks = true;
   crypto::Key128 data_key{0x10, 0x01, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77,
                           0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff};
   crypto::Key128 mac_key{0x5a, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
@@ -205,10 +189,6 @@ class MeeEngine {
                   Cycles now, bool is_write);
   std::uint64_t parent_counter(Level level, std::uint64_t chunk) const;
   void verify_node(Level level, std::uint64_t chunk);
-  /// Batched equivalent of the top-down verify_node loop over the walk's
-  /// fetched nodes (config_.batched_walks): genesis checks run inline, the
-  /// MAC checks are gathered into one MacScheme::verify_batch call.
-  void verify_walk_batched(const WalkResult& walk, std::uint64_t chunk);
   /// Flush+rekey the MEE cache every cache_policy.rekey_period walks.
   void maybe_rekey();
   Cycles walk_latency(std::uint32_t nodes_fetched);

@@ -250,8 +250,8 @@ ChannelOutcome attempt_channel(const TrialSpec& spec, std::uint64_t seed,
       [&](const ChannelWarmState& state) {
         return encode_warm_state(config, state);
       },
-      [&](std::string_view payload) {
-        return decode_warm_state(config, payload);
+      [&](std::string_view bytes) {
+        return decode_warm_state(config, bytes);
       });
   TrialBed bed(config, key + "|measure", warm);
   ChannelOutcome outcome;

@@ -8,7 +8,6 @@
 
 #include "cache/policy.h"
 #include "cache/replacement.h"
-#include "crypto/aes_backend.h"
 #include "mem/frame_allocator.h"
 
 namespace meecc::runtime {
@@ -79,22 +78,6 @@ double parse_probability(std::string_view key, std::string_view value) {
   return v;
 }
 
-/// Validates the backend name against the registry AND this CPU (e.g.
-/// "aesni" on a machine without AES-NI fails here, before any trial runs).
-std::string parse_aes_backend(std::string_view key, std::string_view value) {
-  const std::string v = lower(value);
-  std::string expected;
-  for (const auto& name : crypto::aes_backend_names()) {
-    if (crypto::aes_backend_available(name)) {
-      if (!expected.empty()) expected += '|';
-      expected += name;
-    }
-  }
-  if (!crypto::is_aes_backend(v) || !crypto::aes_backend_available(v))
-    bad_value(key, value, expected);
-  return v;
-}
-
 using SystemApply = void (*)(sim::SystemConfig&, std::string_view,
                              std::string_view);
 using BedApply = void (*)(channel::TestBedConfig&, std::string_view,
@@ -138,23 +121,6 @@ constexpr SystemParam kSystemParams[] = {
     {"functional_crypto", "real AES/MAC per line vs timing-only model",
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
        c.mee.functional_crypto = parse_bool(k, v);
-     }},
-    {"crypto.aes_backend",
-     "AES implementation: reference|ttable|aesni|auto (host speed only; "
-     "simulated timing and traces are identical across backends)",
-     [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
-       c.mee.aes_backend = parse_aes_backend(k, v);
-     }},
-    {"crypto.pad_cache",
-     "cache AES keystreams/MAC pads by (address, version) — host speed only",
-     [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
-       c.mee.pad_cache = parse_bool(k, v);
-     }},
-    {"crypto.batched_walks",
-     "batch a walk's per-level MAC pads through multi-block AES — host "
-     "speed only; results identical to the serial path",
-     [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
-       c.mee.batched_walks = parse_bool(k, v);
      }},
     {"mee.cache_bytes", "MEE cache capacity (paper: 64K)",
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {

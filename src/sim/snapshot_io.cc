@@ -30,7 +30,7 @@ void encode_memory(io::Writer& w, const mem::PhysicalMemory::Image& image) {
 }
 
 mem::PhysicalMemory::Image decode_memory(io::Reader& r) {
-  const std::uint64_t count = r.u64();
+  const std::uint64_t count = r.count(8 + sizeof(mem::Line));  // addr + line
   if (count == 0) return nullptr;
   auto lines =
       std::make_shared<std::unordered_map<std::uint64_t, mem::Line>>();

@@ -13,13 +13,12 @@ System::System(const SystemConfig& config)
       hierarchy_(config.hierarchy, config.cores, rng_.fork(), &hub_),
       mee_(std::make_unique<mee::MeeEngine>(map_, memory_, config.mee,
                                             rng_.fork(), &hub_)),
-      peek_cipher_(config.mee.data_key, config.mee.aes_backend),
+      peek_cipher_(config.mee.data_key),
       epc_allocator_(map_, config.epc_placement, rng_.fork()),
       general_allocator_(map_) {
   MEECC_CHECK(config.cores > 0);
   MEECC_CHECK(config.clock_ghz > 0.0);
   scheduler_.set_hub(&hub_);
-  peek_cipher_.set_pad_cache_enabled(config.mee.pad_cache);
   peek_cipher_.set_pad_counters(hub_.registry().counter("crypto.pad", "hit"),
                                 hub_.registry().counter("crypto.pad", "miss"));
   auto sys = hub_.registry().group("sys");

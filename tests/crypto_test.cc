@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
-#include <stdexcept>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -162,87 +161,32 @@ TEST(Mac, RejectsNonBlockMultipleInput) {
   EXPECT_THROW((void)mac.tag(1, 2, short_data), meecc::CheckFailure);
 }
 
-// ------------------------------------------------------- AES backends --
+// ------------------------------------------------------- AES backend --
 
-/// Concrete (non-"auto") backends this CPU can run; always contains at
-/// least reference and ttable.
-std::vector<std::string> runnable_backends() {
-  std::vector<std::string> names;
-  for (const std::string& name : aes_backend_names())
-    if (name != kAutoBackend && aes_backend_available(name))
-      names.push_back(name);
-  return names;
+Block random_block(Rng& rng) {
+  Block block{};
+  for (auto& b : block) b = static_cast<std::uint8_t>(rng.next_below(256));
+  return block;
 }
 
-class AesBackendSuite : public ::testing::TestWithParam<std::string> {};
+// The CPUID-selected backend (AES-NI on most x86 hosts, else the reference
+// cipher itself) must compute exactly the reference FIPS-197 function:
+// known answers, pipelined encrypt_blocks at every batch size, and random
+// blocks under random keys.
+TEST(AesBackend, SelectedBackendMatchesReference) {
+  const auto selected = make_aes_backend(test_key());
+  EXPECT_EQ(selected->name(), resolve_aes_backend());
 
-INSTANTIATE_TEST_SUITE_P(AllRegistered, AesBackendSuite,
-                         ::testing::ValuesIn(runnable_backends()),
-                         [](const auto& info) { return info.param; });
+  // FIPS-197 Appendix B / C.1 known answers.
+  EXPECT_EQ(selected->encrypt(hex_block("3243f6a8885a308d313198a2e0370734")),
+            hex_block("3925841d02dc09fbdc118597196a0b32"));
+  EXPECT_EQ(make_aes_backend(hex_block("000102030405060708090a0b0c0d0e0f"))
+                ->encrypt(hex_block("00112233445566778899aabbccddeeff")),
+            hex_block("69c4e0d86a7b0430d8cdb78070b4c55a"));
 
-// FIPS-197 Appendix B / C.1 known-answer vectors, per backend.
-TEST_P(AesBackendSuite, Fips197KnownAnswers) {
-  {
-    const auto aes = make_aes_backend(
-        GetParam(), hex_block("2b7e151628aed2a6abf7158809cf4f3c"));
-    EXPECT_EQ(aes->encrypt(hex_block("3243f6a8885a308d313198a2e0370734")),
-              hex_block("3925841d02dc09fbdc118597196a0b32"));
-  }
-  {
-    const auto aes = make_aes_backend(
-        GetParam(), hex_block("000102030405060708090a0b0c0d0e0f"));
-    EXPECT_EQ(aes->encrypt(hex_block("00112233445566778899aabbccddeeff")),
-              hex_block("69c4e0d86a7b0430d8cdb78070b4c55a"));
-    EXPECT_EQ(aes->decrypt(hex_block("69c4e0d86a7b0430d8cdb78070b4c55a")),
-              hex_block("00112233445566778899aabbccddeeff"));
-  }
-}
-
-TEST_P(AesBackendSuite, DecryptInvertsEncrypt) {
-  const auto aes = make_aes_backend(GetParam(), test_key());
-  Rng rng(11);
-  for (int trial = 0; trial < 50; ++trial) {
-    Block pt{};
-    for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next_below(256));
-    EXPECT_EQ(aes->decrypt(aes->encrypt(pt)), pt);
-  }
-}
-
-TEST_P(AesBackendSuite, MatchesReferenceOnRandomBlocksAndKeys) {
-  Rng rng(12);
-  for (int trial = 0; trial < 20; ++trial) {
-    Key128 key{};
-    for (auto& b : key) b = static_cast<std::uint8_t>(rng.next_below(256));
-    const Aes128 reference(key);
-    const auto aes = make_aes_backend(GetParam(), key);
-    Block pt{};
-    for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next_below(256));
-    const Block ct = reference.encrypt(pt);
-    EXPECT_EQ(aes->encrypt(pt), ct);
-    EXPECT_EQ(aes->decrypt(ct), pt);
-  }
-}
-
-TEST_P(AesBackendSuite, LineCipherIdenticalAcrossBackends) {
-  const LineCipher reference(test_key(), "reference");
-  const LineCipher cipher(test_key(), GetParam());
-  Rng rng(13);
-  for (int trial = 0; trial < 10; ++trial) {
-    const LineData pt = random_line(rng);
-    const std::uint64_t addr = rng.next_u64() & ~0x3full;
-    const std::uint64_t version = rng.next_below(1ull << 56);
-    EXPECT_EQ(cipher.encrypt(pt, addr, version),
-              reference.encrypt(pt, addr, version));
-  }
-}
-
-// NIST SP 800-38A F.1.1 (ECB-AES128.Encrypt): four distinct plaintext
-// blocks under one key — a real multi-block KAT, so a lane swap or
-// round-key mixup in the pipelined path cannot cancel out. Run the four as
-// one batch and doubled to eight, the width the AES-NI path unrolls to.
-TEST_P(AesBackendSuite, EncryptBlocksMultiBlockKnownAnswers) {
-  const auto aes = make_aes_backend(
-      GetParam(), hex_block("2b7e151628aed2a6abf7158809cf4f3c"));
+  // NIST SP 800-38A F.1.1 (ECB-AES128.Encrypt): four distinct plaintext
+  // blocks under one key, run one at a time and as one pipelined batch, so
+  // a lane swap or round-key mixup cannot cancel out.
   const Block pts[4] = {hex_block("6bc1bee22e409f96e93d7e117393172a"),
                         hex_block("ae2d8a571e03ac9c9eb76fac45af8e51"),
                         hex_block("30c81c46a35ce411e5fbc1191a0a52ef"),
@@ -252,131 +196,71 @@ TEST_P(AesBackendSuite, EncryptBlocksMultiBlockKnownAnswers) {
                         hex_block("43b1cd7f598ece23881b00e3ed030688"),
                         hex_block("7b0c785e27e8ad3f8223207104725dd4")};
   Block out4[4];
-  aes->encrypt_blocks(pts, out4, 4);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(out4[i], cts[i]) << "lane " << i;
-  Block in8[8], out8[8];
-  for (int i = 0; i < 8; ++i) in8[i] = pts[i % 4];
-  aes->encrypt_blocks(in8, out8, 8);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(out8[i], cts[i % 4]) << "lane " << i;
-}
+  selected->encrypt_blocks(pts, out4, 4);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(selected->encrypt(pts[i]), cts[i]) << "block " << i;
+    EXPECT_EQ(out4[i], cts[i]) << "lane " << i;
+  }
 
-// encrypt_blocks must be bit-identical to a serial encrypt() loop at every
-// batch size (partial tails, exact multiples of the 8-wide unroll, and the
-// recursive > 8 shapes the MAC batch path produces), including when the
-// caller aliases out onto in element-wise.
-TEST_P(AesBackendSuite, EncryptBlocksMatchesSerialLoopAnySize) {
-  const auto aes = make_aes_backend(GetParam(), test_key());
+  // encrypt_blocks against the reference at every batch size around the
+  // 8-wide unroll, including with out aliased onto in element-wise.
+  const Aes128 reference(test_key());
   Rng rng(15);
-  for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u, 23u}) {
+  for (std::size_t n = 1; n <= 9; ++n) {
     std::vector<Block> in(n), out(n);
-    for (auto& block : in)
-      for (auto& b : block) b = static_cast<std::uint8_t>(rng.next_below(256));
-    aes->encrypt_blocks(in.data(), out.data(), n);
+    for (auto& block : in) block = random_block(rng);
+    selected->encrypt_blocks(in.data(), out.data(), n);
     for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(out[i], aes->encrypt(in[i])) << "n=" << n << " i=" << i;
+      EXPECT_EQ(out[i], reference.encrypt(in[i])) << "n=" << n << " i=" << i;
     std::vector<Block> inplace = in;
-    aes->encrypt_blocks(inplace.data(), inplace.data(), n);
+    selected->encrypt_blocks(inplace.data(), inplace.data(), n);
     EXPECT_EQ(inplace, out) << "n=" << n << " (in-place)";
   }
-}
 
-// verify_batch must reach exactly the serial loop's verdict: the index of
-// the first failing request in array order, or n when all pass — for both
-// the base-class serial fallback (CBC-MAC) and the multilinear pad-batched
-// override, across every backend.
-TEST_P(AesBackendSuite, VerifyBatchMatchesSerialVerdict) {
-  Rng rng(16);
-  for (const MacKind kind : {MacKind::kMultilinear, MacKind::kCbcMac}) {
-    const auto mac = make_mac_scheme(kind, test_key(), GetParam());
-    constexpr std::size_t kRequests = 12;  // > the 8-wide inline batch
-    std::vector<LineData> lines(kRequests);
-    std::vector<MacRequest> requests(kRequests);
-    for (std::size_t i = 0; i < kRequests; ++i) {
-      lines[i] = random_line(rng);
-      requests[i].address = 0x40 * (i + 1);
-      requests[i].version = i + 1;
-      requests[i].data = lines[i];
-      requests[i].expected_tag =
-          mac->tag(requests[i].address, requests[i].version, lines[i]);
+  // 10k random blocks, with a fresh random key every 100.
+  for (int key_round = 0; key_round < 100; ++key_round) {
+    const Key128 key = random_block(rng);
+    const Aes128 keyed_reference(key);
+    const auto keyed = make_aes_backend(key);
+    for (int i = 0; i < 100; ++i) {
+      const Block pt = random_block(rng);
+      ASSERT_EQ(keyed->encrypt(pt), keyed_reference.encrypt(pt))
+          << "key round " << key_round << " block " << i;
     }
-    EXPECT_EQ(mac->verify_batch(requests.data(), kRequests), kRequests);
-    // Two corrupted tags: the verdict is the FIRST in array order.
-    auto corrupted = requests;
-    corrupted[9].expected_tag ^= 1;
-    corrupted[5].expected_tag ^= 1;
-    EXPECT_EQ(mac->verify_batch(corrupted.data(), kRequests), 5u);
-    // Corrupted data fails the same way as a corrupted tag.
-    LineData flipped = lines[2];
-    flipped[0] ^= 1;
-    auto tampered = requests;
-    tampered[2].data = flipped;
-    EXPECT_EQ(mac->verify_batch(tampered.data(), kRequests), 2u);
   }
 }
 
-// The batched pad path must account pad-cache hits and misses exactly like
-// the serial loop would for the same (distinct-nonce) request stream.
-TEST(PadCacheBatch, VerifyBatchCountsPadsLikeSerial) {
-  Rng rng(18);
-  constexpr std::size_t kRequests = 6;
-  std::vector<LineData> lines(kRequests);
-  std::vector<MacRequest> requests(kRequests);
-  const MultilinearMac oracle(test_key());
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    lines[i] = random_line(rng);
-    requests[i].address = 0x1000 + 0x40 * i;
-    requests[i].version = 1;
-    requests[i].data = lines[i];
-    requests[i].expected_tag =
-        oracle.tag(requests[i].address, requests[i].version, lines[i]);
-  }
-  const auto run = [&](auto&& verify) {
-    obs::Registry registry;
-    MultilinearMac mac(test_key());
-    const auto hit = registry.counter("crypto.pad", "hit");
-    const auto miss = registry.counter("crypto.pad", "miss");
-    mac.set_pad_counters(hit, miss);
-    verify(mac);  // cold: every pad misses
-    verify(mac);  // warm: every pad hits
-    return std::pair{hit.value(), miss.value()};
+// The line keystream is AES-CTR over four counter blocks (address ‖
+// version ‖ block index): rebuild it from the reference cipher for random
+// nonces and check a version bump yields a fresh keystream.
+TEST(LineCipher, KeystreamIsReferenceAesCtrOverAddressAndVersion) {
+  const LineCipher cipher(test_key());
+  const Aes128 reference(test_key());
+  const auto reference_keystream = [&](std::uint64_t address,
+                                       std::uint64_t version) {
+    LineData ks{};
+    for (std::uint32_t block = 0; block < 4; ++block) {
+      Block counter{};
+      std::memcpy(counter.data(), &address, 8);
+      const std::uint64_t v = (version << 8) | block;
+      std::memcpy(counter.data() + 8, &v, 8);
+      const Block out = reference.encrypt(counter);
+      std::memcpy(ks.data() + 16 * block, out.data(), 16);
+    }
+    return ks;
   };
-  const auto serial = run([&](const MacScheme& mac) {
-    for (const auto& r : requests)
-      EXPECT_TRUE(mac.verify(r.address, r.version, r.data, r.expected_tag));
-  });
-  const auto batched = run([&](const MacScheme& mac) {
-    EXPECT_EQ(mac.verify_batch(requests.data(), kRequests), kRequests);
-  });
-  EXPECT_EQ(batched, serial);
-}
-
-TEST_P(AesBackendSuite, MacSchemesIdenticalAcrossBackends) {
-  Rng rng(14);
-  const LineData data = random_line(rng);
-  for (const MacKind kind : {MacKind::kMultilinear, MacKind::kCbcMac}) {
-    const auto reference = make_mac_scheme(kind, test_key(), "reference");
-    const auto mac = make_mac_scheme(kind, test_key(), GetParam());
-    EXPECT_EQ(mac->tag(0x1000, 7, data), reference->tag(0x1000, 7, data));
+  Rng rng(19);
+  const LineData zeros{};
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::uint64_t address = rng.next_u64() & ~0x3full;
+    const std::uint64_t version = rng.next_below(1ull << 48);
+    const LineData ks = reference_keystream(address, version);
+    // CTR over an all-zero line exposes the keystream itself.
+    EXPECT_EQ(cipher.encrypt(zeros, address, version), ks);
+    EXPECT_NE(cipher.encrypt(zeros, address, version + 1), ks);
+    EXPECT_EQ(cipher.encrypt(zeros, address, version + 1),
+              reference_keystream(address, version + 1));
   }
-}
-
-TEST(AesBackendRegistry, NamesAndAvailability) {
-  const auto names = aes_backend_names();
-  for (const char* expected : {"reference", "ttable", "aesni", "auto"})
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  EXPECT_TRUE(is_aes_backend("auto"));
-  EXPECT_FALSE(is_aes_backend("openssl"));
-  EXPECT_TRUE(aes_backend_available("reference"));
-  EXPECT_TRUE(aes_backend_available("ttable"));
-  EXPECT_TRUE(aes_backend_available("auto"));
-  // "auto" resolves to a concrete, runnable backend.
-  const auto resolved = std::string(resolve_aes_backend("auto"));
-  EXPECT_NE(resolved, "auto");
-  EXPECT_TRUE(aes_backend_available(resolved));
-  EXPECT_EQ(make_aes_backend("auto", test_key())->name(), resolved);
-  EXPECT_THROW((void)make_aes_backend("openssl", test_key()),
-               std::invalid_argument);
 }
 
 // ------------------------------------------------------- pad caching --
@@ -403,17 +287,16 @@ TEST(PadCache, LineCipherHitsOnRepeatedNonceAndCountsIt) {
 
 TEST(PadCache, VersionBumpInvalidates) {
   // Coherence: after a version bump the cache must not serve the old pad —
-  // the cached and uncached ciphers must agree at every version.
+  // the warm cipher must agree at every version with a freshly built one,
+  // whose cold cache runs the compute path.
   LineCipher cached(test_key());
-  LineCipher uncached(test_key());
-  uncached.set_pad_cache_enabled(false);
   Rng rng(16);
   const LineData pt = random_line(rng);
   LineData previous{};
   for (std::uint64_t version = 1; version <= 8; ++version) {
     const auto warm = cached.encrypt(pt, 0x2000, version);  // fill
     EXPECT_EQ(cached.encrypt(pt, 0x2000, version), warm);   // hot
-    EXPECT_EQ(uncached.encrypt(pt, 0x2000, version), warm);
+    EXPECT_EQ(LineCipher(test_key()).encrypt(pt, 0x2000, version), warm);
     EXPECT_NE(warm, previous);  // fresh keystream per version
     previous = warm;
   }
@@ -421,14 +304,12 @@ TEST(PadCache, VersionBumpInvalidates) {
 
 TEST(PadCache, MultilinearPadCacheCoherentAcrossVersions) {
   MultilinearMac cached(test_key());
-  MultilinearMac uncached(test_key());
-  uncached.set_pad_cache_enabled(false);
   Rng rng(17);
   const LineData data = random_line(rng);
   for (std::uint64_t version = 1; version <= 8; ++version) {
     const auto warm = cached.tag(0x3000, version, data);
     EXPECT_EQ(cached.tag(0x3000, version, data), warm);
-    EXPECT_EQ(uncached.tag(0x3000, version, data), warm);
+    EXPECT_EQ(MultilinearMac(test_key()).tag(0x3000, version, data), warm);
   }
   // And the cached tag still changes when the data changes.
   LineData flipped = data;

@@ -14,12 +14,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "channel/covert_channel.h"
 #include "channel/testbed.h"
-#include "crypto/aes_backend.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
 
@@ -38,17 +36,11 @@ constexpr std::size_t kGoldenEvents = 256;
 /// The quickstart scenario (examples/quickstart.cpp) at seed 1, with a
 /// payload trimmed to test size; the trace prefix covers enclave setup —
 /// system reads/writes, cache fills and evictions, and MEE walks.
-/// `aes_backend`/`pad_cache` select the host-side crypto implementation,
-/// which must never influence the simulated trace.
-std::vector<std::string> quickstart_trace_lines(
-    std::string_view aes_backend = crypto::kAutoBackend, bool pad_cache = true) {
+std::vector<std::string> quickstart_trace_lines() {
   obs::CollectingSink sink(kGoldenEvents);
   {
     obs::TrialScope scope(&sink);
-    auto config = channel::default_testbed_config(1);
-    config.system.mee.aes_backend = std::string(aes_backend);
-    config.system.mee.pad_cache = pad_cache;
-    channel::TestBed bed(config);
+    channel::TestBed bed(channel::default_testbed_config(1));
     const auto payload = channel::alternating_bits(8);
     const auto result =
         channel::run_covert_channel(bed, channel::ChannelConfig{}, payload);
@@ -125,41 +117,6 @@ TEST(GoldenTrace, TraceIsRunToRunDeterministic) {
   if (!obs::kTracingCompiledIn)
     GTEST_SKIP() << "tracing compiled out (MEECC_DISABLE_TRACING)";
   EXPECT_EQ(quickstart_trace_lines(), quickstart_trace_lines());
-}
-
-// The AES backend and keystream cache are host-side optimizations: every
-// backend computes bit-identical AES and the simulated timing model never
-// sees which one ran, so the golden trace must match byte for byte.
-class GoldenTraceBackend : public ::testing::TestWithParam<std::string> {};
-
-std::vector<std::string> runnable_backend_params() {
-  std::vector<std::string> names;
-  for (const std::string& name : crypto::aes_backend_names())
-    if (crypto::aes_backend_available(name)) names.push_back(name);
-  return names;  // includes "auto"
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, GoldenTraceBackend,
-                         ::testing::ValuesIn(runnable_backend_params()),
-                         [](const auto& info) { return info.param; });
-
-TEST_P(GoldenTraceBackend, TraceIsBackendInvariant) {
-  if (!obs::kTracingCompiledIn)
-    GTEST_SKIP() << "tracing compiled out (MEECC_DISABLE_TRACING)";
-  const auto golden = read_lines(std::filesystem::path(MEECC_GOLDEN_DIR) /
-                                 "quickstart_trace.jsonl");
-  ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(quickstart_trace_lines(GetParam(), /*pad_cache=*/true), golden);
-}
-
-TEST(GoldenTrace, TraceIsPadCacheInvariant) {
-  if (!obs::kTracingCompiledIn)
-    GTEST_SKIP() << "tracing compiled out (MEECC_DISABLE_TRACING)";
-  const auto golden = read_lines(std::filesystem::path(MEECC_GOLDEN_DIR) /
-                                 "quickstart_trace.jsonl");
-  ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(quickstart_trace_lines(crypto::kAutoBackend, /*pad_cache=*/false),
-            golden);
 }
 
 }  // namespace

@@ -1,21 +1,23 @@
 // Snapshot wire-format battery: primitive codec round-trips, one distinct
 // frame status per corruption mode, canonical-bytes stability, and the
 // load-bearing property behind the on-disk setup store — a decoded
-// snapshot's fork replays the donor's golden trace byte for byte, under
-// every available host AES backend (the nosimd CI stage reruns this suite
-// with MEECC_NO_SIMD=1, shrinking the backend list).
+// snapshot's fork replays the donor's golden trace byte for byte, and
+// count-prefixed fields fail the decode (not the allocator) when a corrupted
+// count could not fit in the payload. The nosimd CI stage reruns this suite
+// with MEECC_NO_SIMD=1.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "channel/covert_channel.h"
 #include "channel/testbed.h"
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "crypto/aes_backend.h"
+#include "crypto/pad_cache.h"
 #include "obs/counters.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
@@ -173,7 +175,7 @@ TEST(SnapshotFile, RoundTripsThroughFrameAndRejectsForeignConfig) {
 }
 
 // ---------------------------------------------------------------------------
-// TestBed snapshot round trip: the golden-trace property, per AES backend.
+// TestBed snapshot round trip: the golden-trace property.
 
 std::vector<std::string> to_jsonl(const std::vector<obs::TraceEvent>& events) {
   std::vector<std::string> lines;
@@ -225,26 +227,11 @@ std::vector<std::string> fork_trace(const channel::TestBedConfig& config,
   return to_jsonl(sink.events());
 }
 
-class SerializedForkBackend : public ::testing::TestWithParam<std::string> {};
-
-std::vector<std::string> runnable_backends() {
-  std::vector<std::string> names;
-  for (const std::string& name : crypto::aes_backend_names())
-    if (crypto::aes_backend_available(name)) names.push_back(name);
-  return names;  // includes "auto"
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, SerializedForkBackend,
-                         ::testing::ValuesIn(runnable_backends()),
-                         [](const auto& info) { return info.param; });
-
 // The whole point of the setup store: encode → decode → fork must be
 // observationally identical to forking the in-memory snapshot, down to the
-// last trace byte — under every host AES backend, since a stored snapshot
-// may be loaded on a host that picks a different one.
-TEST_P(SerializedForkBackend, DecodedForkReplaysGoldenTraceByteForByte) {
-  channel::TestBedConfig config = channel::default_testbed_config(1);
-  config.system.mee.aes_backend = GetParam();
+// last trace byte.
+TEST(SerializedFork, DecodedForkReplaysGoldenTraceByteForByte) {
+  const channel::TestBedConfig config = channel::default_testbed_config(1);
   const EncodedWarmBed donor = encode_warm_bed(config);
 
   sim::System shape(config.system);
@@ -272,24 +259,69 @@ TEST_P(SerializedForkBackend, DecodedForkReplaysGoldenTraceByteForByte) {
   EXPECT_EQ(again.data(), donor.bytes);
 }
 
-// The AES backend is host-side only: the simulated state — and so its
-// canonical encoding — must be byte-identical whichever backend built it.
-TEST(SerializedFork, WireBytesAreBackendInvariant) {
-  std::string reference;
-  std::string reference_backend;
-  for (const std::string& backend : runnable_backends()) {
-    channel::TestBedConfig config = channel::default_testbed_config(1);
-    config.system.mee.aes_backend = backend;
-    const std::string bytes = encode_warm_bed(config).bytes;
-    if (reference.empty()) {
-      reference = bytes;
-      reference_backend = backend;
-    } else {
-      EXPECT_EQ(bytes, reference)
-          << backend << " encodes differently than " << reference_backend;
-    }
+// ---------------------------------------------------------------------------
+// Count-prefixed fields: a count inflated to 2^40 in an otherwise valid
+// payload must raise DecodeError — the one failure the setup cache heals —
+// before anything is sized from it.
+
+constexpr std::uint64_t kInflatedCount = 1ULL << 40;
+
+void overwrite_u64(std::string& bytes, std::size_t offset, std::uint64_t v) {
+  io::Writer w;
+  w.u64(v);
+  bytes.replace(offset, 8, w.data());
+}
+
+TEST(DecoderCounts, PadCacheRejectsAForeignSlotCount) {
+  crypto::PadCache<std::uint64_t> donor;
+  donor.insert(0x40, 1, 0x1234);
+  io::Writer w;
+  donor.encode_state(w);
+  std::string bytes = w.take();
+  {
+    crypto::PadCache<std::uint64_t> decoded;
+    io::Reader r(bytes);
+    decoded.decode_state(r);
+    r.expect_done();
   }
-  ASSERT_FALSE(reference.empty());
+  overwrite_u64(bytes, 0, kInflatedCount);  // the slot count leads
+  crypto::PadCache<std::uint64_t> decoded;
+  io::Reader r(bytes);
+  EXPECT_THROW(decoded.decode_state(r), io::DecodeError);
+}
+
+TEST(DecoderCounts, InflatedCountsInABedSnapshotThrowDecodeError) {
+  const channel::TestBedConfig config = channel::default_testbed_config(1);
+  const EncodedWarmBed donor = encode_warm_bed(config);
+  sim::System shape(config.system);
+  const auto decode = [&](const std::string& bytes) {
+    io::Reader r(bytes);
+    (void)channel::decode_testbed_snapshot(r, shape);
+  };
+  const auto u64_at = [&](std::size_t offset) {
+    io::Reader r(std::string_view(donor.bytes).substr(offset, 8));
+    return r.u64();
+  };
+
+  // The DRAM image's line count leads the machine snapshot.
+  ASSERT_NE(donor.snapshot.system.memory, nullptr);
+  ASSERT_EQ(u64_at(0), donor.snapshot.system.memory->size());
+  std::string memory = donor.bytes;
+  overwrite_u64(memory, 0, kInflatedCount);
+  EXPECT_THROW(decode(memory), io::DecodeError);
+
+  // The first actor's page count follows the machine snapshot, the actor's
+  // clock and its RNG state.
+  io::Writer system, rng;
+  sim::encode_snapshot(system, shape, donor.snapshot.system);
+  encode_rng(rng, donor.snapshot.actors[0].rng);
+  std::string pages = donor.bytes;
+  const std::size_t page_count_at = system.size() + 8 + rng.size();
+  ASSERT_GT(pages.size(), page_count_at + 8);
+  ASSERT_EQ(u64_at(page_count_at),
+            donor.snapshot.actors[0].vas.sorted_pages().size());
+  overwrite_u64(pages, page_count_at, kInflatedCount);
+  EXPECT_THROW(decode(pages), io::DecodeError);
 }
 
 }  // namespace

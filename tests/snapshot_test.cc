@@ -19,7 +19,6 @@
 #include "channel/testbed.h"
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "crypto/aes_backend.h"
 #include "obs/counters.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
@@ -228,57 +227,40 @@ TEST(TestBedFork, MatchesFreshExecution) {
   EXPECT_EQ(fresh_counters, fork_counters);
 }
 
-// Fork-vs-fresh equivalence must survive the batched verify-walk and the
-// SoA cache planes, and the serial/batched choice must be invisible in
-// every observable: golden trace, channel result, and counter totals (pad
-// cache and mac-verify accounting included). One loop runs the whole
-// fork-vs-fresh protocol per walk mode, then the two modes are compared
-// against each other end to end.
-TEST(TestBedFork, ForkEquivalenceHoldsAcrossSerialAndBatchedWalks) {
-  std::vector<obs::TraceEvent> mode_events[2];
-  obs::CounterSnapshot mode_counters[2];
-  for (const bool batched : {false, true}) {
-    channel::TestBedConfig config = channel::default_testbed_config(4321);
-    config.system.mee.batched_walks = batched;
-    const channel::ChannelConfig channel_config;
-    const auto payload = channel::alternating_bits(12);
+// Fork-vs-fresh equivalence with the environment's noise autostarted (the
+// default bed) rather than started by hand: golden trace, channel result,
+// and counter totals (pad cache and mac-verify accounting included).
+TEST(TestBedFork, MatchesFreshExecutionWithAutostartedNoise) {
+  const channel::TestBedConfig config = channel::default_testbed_config(4321);
+  const channel::ChannelConfig channel_config;
+  const auto payload = channel::alternating_bits(12);
 
-    channel::TestBed donor(config);
-    const channel::ChannelSetup setup =
-        channel::setup_covert_channel(donor, channel_config);
-    ASSERT_TRUE(setup.monitor_found);
-    donor.quiesce_environment();
-    const channel::TestBedSnapshot snap = donor.snapshot();
-    donor.respawn_environment();
+  channel::TestBed donor(config);
+  const channel::ChannelSetup setup =
+      channel::setup_covert_channel(donor, channel_config);
+  ASSERT_TRUE(setup.monitor_found);
+  donor.quiesce_environment();
+  const channel::TestBedSnapshot snap = donor.snapshot();
+  donor.respawn_environment();
 
-    obs::CollectingSink fresh_sink;
-    donor.system().hub().set_trace_sink(&fresh_sink);
-    const channel::ChannelResult fresh = channel::transfer_covert_channel(
-        donor, channel_config, payload, setup);
-    donor.system().hub().set_trace_sink(nullptr);
+  obs::CollectingSink fresh_sink;
+  donor.system().hub().set_trace_sink(&fresh_sink);
+  const channel::ChannelResult fresh = channel::transfer_covert_channel(
+      donor, channel_config, payload, setup);
+  donor.system().hub().set_trace_sink(nullptr);
 
-    channel::TestBed forked(config, snap);
-    obs::CollectingSink fork_sink;
-    forked.system().hub().set_trace_sink(&fork_sink);
-    const channel::ChannelResult replay = channel::transfer_covert_channel(
-        forked, channel_config, payload, setup);
-    forked.system().hub().set_trace_sink(nullptr);
+  channel::TestBed forked(config, snap);
+  obs::CollectingSink fork_sink;
+  forked.system().hub().set_trace_sink(&fork_sink);
+  const channel::ChannelResult replay = channel::transfer_covert_channel(
+      forked, channel_config, payload, setup);
+  forked.system().hub().set_trace_sink(nullptr);
 
-    EXPECT_EQ(fresh_sink.events(), fork_sink.events())
-        << "batched=" << batched;
-    EXPECT_EQ(fresh.received, replay.received) << "batched=" << batched;
-    EXPECT_EQ(fresh.probe_times, replay.probe_times) << "batched=" << batched;
-    EXPECT_EQ(donor.system().hub().registry().snapshot(),
-              forked.system().hub().registry().snapshot())
-        << "batched=" << batched;
-
-    mode_events[batched ? 1 : 0] = fresh_sink.events();
-    mode_counters[batched ? 1 : 0] = donor.system().hub().registry().snapshot();
-  }
-  // The batched walk is a host-side speedup only: byte-identical trace and
-  // equal counter totals versus the serial reference path.
-  EXPECT_EQ(mode_events[0], mode_events[1]);
-  EXPECT_EQ(mode_counters[0], mode_counters[1]);
+  EXPECT_EQ(fresh_sink.events(), fork_sink.events());
+  EXPECT_EQ(fresh.received, replay.received);
+  EXPECT_EQ(fresh.probe_times, replay.probe_times);
+  EXPECT_EQ(donor.system().hub().registry().snapshot(),
+            forked.system().hub().registry().snapshot());
 }
 
 TEST(TestBedFork, ForksFromOneSnapshotAreIndependent) {
@@ -473,57 +455,49 @@ TEST(Runner, ParallelTraceBufferingMatchesSerialOrder) {
 
 // ---------------------------------------------------------------------------
 // Bed recycling: a rewound TestBed must be indistinguishable from a fresh
-// fork, across AES backends, and the pool's churn paths must be memory-safe.
+// fork, and the pool's churn paths must be memory-safe.
 
 // One fork runs the measure phase, is rewound with try_reset(), and runs it
 // again: golden trace, channel result, and counter totals must all match the
 // first pass exactly — the recycled-System contract the runner relies on.
-// Exercised per AES backend because the MEE's pad caches and key schedules
-// are part of the restored state and each backend keeps different internals.
-// The "reference" backend is excluded on cost grounds (it is ~15x slower and
-// its equivalence to ttable is already pinned by crypto_test).
-TEST(TestBedRecycle, RewoundBedMatchesItsFirstRunAcrossAesBackends) {
-  for (const std::string backend : {"ttable", "aesni", "auto"}) {
-    if (!crypto::aes_backend_available(backend)) continue;
-    channel::TestBedConfig config = channel::default_testbed_config(77);
-    config.noise_autostart = false;
-    config.system.mee.aes_backend = backend;
-    const channel::ChannelConfig channel_config;
-    const auto payload = channel::alternating_bits(10);
+// The MEE's pad caches are part of the restored state.
+TEST(TestBedRecycle, RewoundBedMatchesItsFirstRun) {
+  channel::TestBedConfig config = channel::default_testbed_config(77);
+  config.noise_autostart = false;
+  const channel::ChannelConfig channel_config;
+  const auto payload = channel::alternating_bits(10);
 
-    channel::TestBed donor(config);
-    const channel::ChannelSetup setup =
-        channel::setup_covert_channel(donor, channel_config);
-    ASSERT_TRUE(setup.monitor_found) << backend;
-    donor.quiesce_environment();
-    const channel::TestBedSnapshot snap = donor.snapshot();
+  channel::TestBed donor(config);
+  const channel::ChannelSetup setup =
+      channel::setup_covert_channel(donor, channel_config);
+  ASSERT_TRUE(setup.monitor_found);
+  donor.quiesce_environment();
+  const channel::TestBedSnapshot snap = donor.snapshot();
 
-    channel::TestBed bed(config, snap);
-    obs::CollectingSink first_sink;
-    bed.system().hub().set_trace_sink(&first_sink);
-    bed.start_noise();
-    const channel::ChannelResult first =
-        channel::transfer_covert_channel(bed, channel_config, payload, setup);
-    bed.system().hub().set_trace_sink(nullptr);
-    const obs::CounterSnapshot first_counters =
-        bed.system().hub().registry().snapshot();
+  channel::TestBed bed(config, snap);
+  obs::CollectingSink first_sink;
+  bed.system().hub().set_trace_sink(&first_sink);
+  bed.start_noise();
+  const channel::ChannelResult first =
+      channel::transfer_covert_channel(bed, channel_config, payload, setup);
+  bed.system().hub().set_trace_sink(nullptr);
+  const obs::CounterSnapshot first_counters =
+      bed.system().hub().registry().snapshot();
 
-    ASSERT_TRUE(bed.try_reset(snap)) << backend;
-    obs::CollectingSink second_sink;
-    bed.system().hub().set_trace_sink(&second_sink);
-    bed.start_noise();
-    const channel::ChannelResult second =
-        channel::transfer_covert_channel(bed, channel_config, payload, setup);
-    bed.system().hub().set_trace_sink(nullptr);
+  ASSERT_TRUE(bed.try_reset(snap));
+  obs::CollectingSink second_sink;
+  bed.system().hub().set_trace_sink(&second_sink);
+  bed.start_noise();
+  const channel::ChannelResult second =
+      channel::transfer_covert_channel(bed, channel_config, payload, setup);
+  bed.system().hub().set_trace_sink(nullptr);
 
-    EXPECT_EQ(first_sink.events(), second_sink.events()) << backend;
-    EXPECT_EQ(first.received, second.received) << backend;
-    EXPECT_EQ(first.bit_errors, second.bit_errors) << backend;
-    EXPECT_EQ(first.probe_times, second.probe_times) << backend;
-    EXPECT_EQ(first.transfer_cycles, second.transfer_cycles) << backend;
-    EXPECT_EQ(first_counters, bed.system().hub().registry().snapshot())
-        << backend;
-  }
+  EXPECT_EQ(first_sink.events(), second_sink.events());
+  EXPECT_EQ(first.received, second.received);
+  EXPECT_EQ(first.bit_errors, second.bit_errors);
+  EXPECT_EQ(first.probe_times, second.probe_times);
+  EXPECT_EQ(first.transfer_cycles, second.transfer_cycles);
+  EXPECT_EQ(first_counters, bed.system().hub().registry().snapshot());
 }
 
 // The merged JSONL stream is the sweep's observable: it must come out
