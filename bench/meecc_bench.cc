@@ -398,8 +398,7 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   runner.recycle_systems = recycle_systems;
   std::optional<runtime::SetupStore> setup_store;
   if (!setup_store_dir.empty()) {
-    setup_store.emplace(setup_store_dir,
-                        runtime::setup_store_config_hash(experiment.name));
+    setup_store.emplace(setup_store_dir, experiment.name);
     runner.setup_store = &*setup_store;
   }
   if (trace_sink) {
@@ -495,22 +494,8 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   if (runner.trace_sink) runner.trace_sink->flush();
   if (!quiet) print_setup_stats(setup_stats);
 
-  // With --json - the JSONL stream owns stdout; human output moves to stderr.
-  std::FILE* human = json_path == "-" ? stderr : stdout;
-  if (force_artifacts || records.size() == 1) {
-    for (const auto& record : records)
-      if (record.ok && !record.result.artifact_text.empty())
-        std::fprintf(human, "%s\n", record.result.artifact_text.c_str());
-  }
-  std::fprintf(human, "%s",
-               runtime::summary_table(records, columns).to_text().c_str());
-  if (show_counters) {
-    const auto merged = runtime::merge_counters(records);
-    std::fprintf(human, "\nmerged counters (%zu trial%s):\n%s",
-                 records.size(), records.size() == 1 ? "" : "s",
-                 runtime::counters_table(merged).to_text().c_str());
-  }
-
+  // The JSONL goes out first: whatever happens while formatting the human
+  // summary, the sweep's results are already written.
   if (!json_path.empty()) {
     if (json_path == "-") {
       runtime::write_jsonl(std::cout, records);
@@ -527,6 +512,22 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
                      records.size(), records.size() == 1 ? "" : "s",
                      json_path.c_str());
     }
+  }
+
+  // With --json - the JSONL stream owns stdout; human output moves to stderr.
+  std::FILE* human = json_path == "-" ? stderr : stdout;
+  if (force_artifacts || records.size() == 1) {
+    for (const auto& record : records)
+      if (record.ok && !record.result.artifact_text.empty())
+        std::fprintf(human, "%s\n", record.result.artifact_text.c_str());
+  }
+  std::fprintf(human, "%s",
+               runtime::summary_table(records, columns).to_text().c_str());
+  if (show_counters) {
+    const auto merged = runtime::merge_counters(records);
+    std::fprintf(human, "\nmerged counters (%zu trial%s):\n%s",
+                 records.size(), records.size() == 1 ? "" : "s",
+                 runtime::counters_table(merged).to_text().c_str());
   }
 
   for (const auto& record : records)

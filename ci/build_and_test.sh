@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: build the plain and sanitized (ASan+UBSan) configurations,
-# run the test suite in both — unit-labelled tests first so cheap component
-# breakage fails fast, then the integration/property tiers — and finally
-# smoke the experiment runtime's determinism contract (bit-identical JSONL,
-# counters included, at --jobs 1 vs --jobs 4).
+# CI entry point: build the plain and sanitized (ASan+UBSan, any UBSan report
+# fatal) configurations, run the test suite in both — unit-labelled tests
+# first so cheap component breakage fails fast, then the integration/property
+# tiers — and finally smoke the experiment runtime's determinism contract
+# (bit-identical JSONL, counters included, at --jobs 1 vs --jobs 4, and with
+# setup sharing and bed recycling on vs off).
 #
 # Diagnostics for upload-on-failure land in $ROOT/ci-artifacts (golden-trace
 # diff, counters JSONL); build trees also leave obs_artifacts/ dirs behind.
@@ -32,7 +33,9 @@ set -euo pipefail
 #             behind. Shard manifests land in $ROOT/ci-artifacts on failure.
 #             Streaming is the shard-mode default; the stage also reruns the
 #             sweep --no-streaming and as a streaming plain run, cmp'ing both
-#             against the same reference bytes.
+#             against the same reference bytes. Last, fig7 runs through the
+#             same store twice: the rerun must build nothing and both runs
+#             must match a --no-reuse-setup reference.
 #   tsan      -DMEECC_SANITIZE=thread build; runs the parallel suites that
 #             hammer the lock-free MPSC queue, the committer pipeline, and
 #             the atomic bed-pool stats, so every data race on the per-trial
@@ -193,6 +196,28 @@ elif [ "$STAGE" = "shard" ]; then
   cmp "$DIR/reference.jsonl" "$DIR/from-store.jsonl"
   echo "disk-loaded snapshots reproduce the reference byte for byte"
 
+  echo "--- fig7 shares its setup through the store too ---"
+  # fig7's setup key leaves out the window, so three seeds build three warm
+  # states; the rerun must load all of them and reproduce the bytes.
+  FIG7=(run fig7_window_sweep --set bits=96 --seeds 3)
+  "$BENCH" "${FIG7[@]}" --jobs 4 --no-reuse-setup \
+    --json "$DIR/fig7-reference.jsonl" > /dev/null 2>&1
+  "$BENCH" "${FIG7[@]}" --jobs 4 --setup-store "$STORE" \
+    --json "$DIR/fig7-built.jsonl" > /dev/null 2>&1
+  cmp "$DIR/fig7-reference.jsonl" "$DIR/fig7-built.jsonl"
+  SETUP_LINE=$("$BENCH" "${FIG7[@]}" --jobs 4 --setup-store "$STORE" \
+    --json "$DIR/fig7-from-store.jsonl" 2>&1 | grep 'setup reuse' || true)
+  echo "$SETUP_LINE"
+  case "$SETUP_LINE" in
+    *"0 built"*) ;;
+    *)
+      echo "expected every fig7 warm setup to come off disk, got: '$SETUP_LINE'" >&2
+      exit 1
+      ;;
+  esac
+  cmp "$DIR/fig7-reference.jsonl" "$DIR/fig7-from-store.jsonl"
+  echo "fig7 from the setup store reproduces the fresh path byte for byte"
+
   rm -rf "$CAMPAIGN"  # keep manifests out of the artifact upload on success
   echo "CI OK (shard)"
   exit 0
@@ -222,6 +247,9 @@ build_and_test "$ROOT/build-ci-plain" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMEECC_WERROR=ON
 
 echo "=== sanitized build (ASan+UBSan) ==="
+# UBSan reports are fatal: without halt_on_error a report is printed and the
+# test still passes.
+export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 build_and_test "$ROOT/build-ci-asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMEECC_SANITIZE=ON
 
@@ -229,6 +257,7 @@ echo "=== sanitized observability pass ==="
 # The obs hot paths (counter handles, trace emission) get an explicit
 # sanitized run: UB here would silently skew every experiment's metrics.
 "$ROOT/build-ci-asan/tests/obs_test"
+unset UBSAN_OPTIONS
 
 echo "=== runtime determinism smoke (counters ride in the JSONL) ==="
 BENCH="$ROOT/build-ci-plain/bench/meecc_bench"
@@ -239,7 +268,18 @@ BENCH="$ROOT/build-ci-plain/bench/meecc_bench"
 cmp "$ARTIFACTS/counters-j1.jsonl" "$ARTIFACTS/counters-j4.jsonl"
 grep -q '"counters":{' "$ARTIFACTS/counters-j1.jsonl"
 echo "jobs=1 and jobs=4 JSONL bit-identical ($(wc -l < "$ARTIFACTS/counters-j1.jsonl") trials, counters included)"
+# fig7 shares one Algorithm 1 per seed across its windows; a run that sets
+# every trial up on its own bed, and one that forks without recycling, must
+# produce the same bytes.
+"$BENCH" run fig7_window_sweep --set bits=96 --seeds 4 --jobs 4 \
+  --no-reuse-setup --json "$ARTIFACTS/counters-fresh.jsonl" --quiet > /dev/null
+cmp "$ARTIFACTS/counters-j1.jsonl" "$ARTIFACTS/counters-fresh.jsonl"
+"$BENCH" run fig7_window_sweep --set bits=96 --seeds 4 --jobs 4 \
+  --no-recycle-systems --json "$ARTIFACTS/counters-norecycle.jsonl" \
+  --quiet > /dev/null
+cmp "$ARTIFACTS/counters-j1.jsonl" "$ARTIFACTS/counters-norecycle.jsonl"
+echo "fig7 JSONL identical with setup sharing and bed recycling on and off"
 
 "$BENCH" list
-rm -f "$ARTIFACTS/counters-j1.jsonl" "$ARTIFACTS/counters-j4.jsonl"
+rm -f "$ARTIFACTS"/counters-*.jsonl
 echo "CI OK"

@@ -1,7 +1,5 @@
 #include "cache/hierarchy.h"
 
-#include <atomic>
-
 #include "common/check.h"
 
 namespace meecc::cache {
@@ -132,37 +130,22 @@ void Hierarchy::flush_all() {
 }
 
 Hierarchy::State Hierarchy::export_state() const {
-  static std::atomic<std::uint64_t> next_image_id{1};
   State state;
-  state.image_id = next_image_id.fetch_add(1, std::memory_order_relaxed);
-  state.l1.reserve(l1_.size());
-  state.l2.reserve(l2_.size());
   for (std::size_t c = 0; c < l1_.size(); ++c) {
-    state.l1.push_back(*l1_[c]);
-    state.l2.push_back(*l2_[c]);
+    state.l1.push_back(l1_[c]->capture());
+    state.l2.push_back(l2_[c]->capture());
   }
-  state.llc.push_back(*llc_);
+  state.llc = llc_->capture();
   return state;
 }
 
 void Hierarchy::import_state(const State& state) {
-  MEECC_CHECK(state.l1.size() == l1_.size() && state.l2.size() == l2_.size() &&
-              state.llc.size() == 1);
-  // Re-importing the image we already hold (modulo whatever ran since):
-  // rewind only the dirtied sets. A cache that can't prove the per-set
-  // path sound (flush_all ran, non-PLRU policy) falls back to full copy
-  // individually; either way the result is the imported image.
-  const bool rewind = state.image_id != 0 && state.image_id == last_import_id_;
-  const auto apply = [rewind](SetAssocCache& live, const SetAssocCache& src) {
-    if (rewind && live.fast_rewind_to(src)) return;
-    live = src;
-  };
+  MEECC_CHECK(state.l1.size() == l1_.size() && state.l2.size() == l2_.size());
   for (std::size_t c = 0; c < l1_.size(); ++c) {
-    apply(*l1_[c], state.l1[c]);
-    apply(*l2_[c], state.l2[c]);
+    l1_[c]->restore(state.l1[c]);
+    l2_[c]->restore(state.l2[c]);
   }
-  apply(*llc_, state.llc[0]);
-  last_import_id_ = state.image_id;
+  llc_->restore(state.llc);
 }
 
 }  // namespace meecc::cache

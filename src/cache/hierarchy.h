@@ -71,28 +71,19 @@ class Hierarchy {
 
   void flush_all();
 
-  /// Full cache-array state for snapshot/fork: value copies of every level
-  /// (lines, PLRU bits, policy objects, per-set eviction tallies, RNG).
-  /// Counter handles are NOT part of the state — import keeps this
-  /// hierarchy's own bindings.
+  /// Cache-array state for snapshot/fork: one sparse image per cache
+  /// (cache/set_assoc_cache.h). Counter handles are NOT part of the state
+  /// — import keeps this hierarchy's own bindings.
   struct State {
-    std::vector<SetAssocCache> l1;
-    std::vector<SetAssocCache> l2;
-    std::vector<SetAssocCache> llc;
-    /// Identifies this captured image, minted by export_state() from a
-    /// process-wide counter. Value copies share the id legitimately (they
-    /// hold the same bytes and States are never mutated after capture);
-    /// 0 = unknown provenance, never eligible for the fast import below.
-    std::uint64_t image_id = 0;
+    std::vector<CacheImagePtr> l1;
+    std::vector<CacheImagePtr> l2;
+    CacheImagePtr llc;
   };
   State export_state() const;
 
-  /// Overwrites the live cache arrays with `state`. Re-importing the image
-  /// this hierarchy last imported (matching nonzero image_id) takes the
-  /// O(touched) path: each cache rewinds only the sets dirtied since — the
-  /// fork-recycling hot path, where a full-plane copy of a multi-MiB LLC
-  /// would otherwise dominate the whole trial (bench/perf_suite.cc's
-  /// campaign section and DESIGN.md §6 quantify this).
+  /// Overwrites the live cache arrays with `state`. Each cache rewinds only
+  /// what changed since its last import when `state` is the one it last
+  /// imported — the fork-recycling hot path (DESIGN.md §6).
   void import_state(const State& state);
 
  private:
@@ -102,9 +93,6 @@ class Hierarchy {
   std::vector<std::unique_ptr<SetAssocCache>> l1_;
   std::vector<std::unique_ptr<SetAssocCache>> l2_;
   std::unique_ptr<SetAssocCache> llc_;
-
-  /// image_id of the last State imported (or 0): gates the fast re-import.
-  std::uint64_t last_import_id_ = 0;
 
   obs::Hub* hub_ = nullptr;
   struct LevelCounters {

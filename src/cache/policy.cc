@@ -44,10 +44,6 @@ class ModuloIndexing final : public IndexingPolicy {
   }
   std::optional<std::uint64_t> modulo_mask() const override { return mask_; }
 
-  std::unique_ptr<IndexingPolicy> clone() const override {
-    return std::make_unique<ModuloIndexing>(*this);
-  }
-
  private:
   std::uint64_t mask_;
 };
@@ -66,10 +62,6 @@ class KeyedIndexing final : public IndexingPolicy {
   }
   void rekey(std::uint64_t fresh_key) override { key_ = fresh_key; }
   std::optional<std::uint64_t> current_key() const override { return key_; }
-
-  std::unique_ptr<IndexingPolicy> clone() const override {
-    return std::make_unique<KeyedIndexing>(*this);
-  }
 
  private:
   std::uint64_t mask_;
@@ -103,10 +95,6 @@ class SkewedIndexing final : public IndexingPolicy {
   void rekey(std::uint64_t fresh_key) override { key_ = fresh_key; }
   std::optional<std::uint64_t> current_key() const override { return key_; }
 
-  std::unique_ptr<IndexingPolicy> clone() const override {
-    return std::make_unique<SkewedIndexing>(*this);
-  }
-
  private:
   std::uint64_t mask_;
   std::uint64_t key_;
@@ -117,11 +105,7 @@ class SkewedIndexing final : public IndexingPolicy {
 class AllWaysFill final : public FillPolicy {
  public:
   std::string_view name() const override { return "all"; }
-  bool passthrough() const override { return true; }
-  std::unique_ptr<FillPolicy> clone() const override {
-    return std::make_unique<AllWaysFill>(*this);
-  }
-};
+  bool passthrough() const override { return true; }};
 
 /// Way partitioning by requesting core (CATalyst-style, §5.5): even cores
 /// may only claim the low half of the ways, odd cores the high half.
@@ -134,10 +118,6 @@ class PartitionFill final : public FillPolicy {
   std::string_view name() const override { return "partition"; }
   WayMask allowed_ways(CoreId requester) const override {
     return way_partition_mask(ways_, requester);
-  }
-
-  std::unique_ptr<FillPolicy> clone() const override {
-    return std::make_unique<PartitionFill>(*this);
   }
 
  private:
@@ -156,10 +136,6 @@ class RandomFill final : public FillPolicy {
 
   std::string_view name() const override { return "random"; }
   bool admits(CoreId, Rng& rng) override { return rng.chance(probability_); }
-
-  std::unique_ptr<FillPolicy> clone() const override {
-    return std::make_unique<RandomFill>(*this);
-  }
 
  private:
   double probability_;

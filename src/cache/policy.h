@@ -90,12 +90,6 @@ class IndexingPolicy {
   virtual std::optional<std::uint64_t> current_key() const {
     return std::nullopt;
   }
-
-  /// Deep copy including the current key (snapshot/fork support). The
-  /// default returns nullptr; externally registered policies that don't
-  /// override it make the owning cache uncopyable (SetAssocCache's copy
-  /// constructor throws CheckFailure).
-  virtual std::unique_ptr<IndexingPolicy> clone() const { return nullptr; }
 };
 
 /// Decides which ways a requester's fill may claim and whether the miss is
@@ -124,10 +118,6 @@ class FillPolicy {
   /// requester (the default "all" policy). Lets the cache's fill path skip
   /// both virtual calls per miss.
   virtual bool passthrough() const { return false; }
-
-  /// Deep copy (snapshot/fork support); same nullptr contract as
-  /// IndexingPolicy::clone().
-  virtual std::unique_ptr<FillPolicy> clone() const { return nullptr; }
 };
 
 /// The way-partition mask the "partition" fill policy hands out: even cores

@@ -119,46 +119,6 @@ SetAssocCache::SetAssocCache(const Geometry& geometry,
           PolicyConfig{.replacement = std::string(to_string(replacement))},
           std::move(rng)) {}
 
-SetAssocCache::SetAssocCache(const SetAssocCache& other)
-    : geometry_(other.geometry_),
-      indexing_(other.indexing_->clone()),
-      fill_(other.fill_->clone()),
-      tags_(other.tags_),
-      valid_(other.valid_),
-      plru_(other.plru_),
-      plru_path_(other.plru_path_),
-      plru_touch_(other.plru_touch_),
-      plru_point_(other.plru_point_),
-      flat_plru_(other.flat_plru_),
-      plru_depth_(other.plru_depth_),
-      set_evictions_(other.set_evictions_),
-      stats_(other.stats_),
-      line_shift_(other.line_shift_),
-      ways_mask_(other.ways_mask_),
-      way_dependent_(other.way_dependent_),
-      direct_modulo_(other.direct_modulo_),
-      direct_mask_(other.direct_mask_),
-      fill_passthrough_(other.fill_passthrough_),
-      rng_(other.rng_),
-      // The copy starts life as a clean image of `other`; it does not
-      // inherit the donor's dirty set (which describes the donor's drift
-      // from ITS baseline, not this copy's).
-      set_stamp_(other.set_stamp_.size(), 0) {
-  MEECC_CHECK_MSG(indexing_ != nullptr && fill_ != nullptr,
-                  "cache policy does not implement clone(); snapshot/fork "
-                  "needs cloneable policies");
-  policy_.reserve(other.policy_.size());
-  for (const auto& p : other.policy_) policy_.push_back(p->clone());
-}
-
-SetAssocCache& SetAssocCache::operator=(const SetAssocCache& other) {
-  if (this != &other) {
-    SetAssocCache copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
-}
-
 std::uint64_t& SetAssocCache::tag_at(std::uint64_t set, std::uint32_t way) {
   return tags_[set * geometry_.ways + way];
 }
@@ -326,9 +286,6 @@ bool SetAssocCache::invalidate(PhysAddr addr) {
 }
 
 void SetAssocCache::flush_all() {
-  // Touches an unbounded slice of the planes; per-set tracking would just
-  // enumerate everything, so widen to the full-copy restore path instead.
-  all_dirty_ = true;
   // The meta plane makes this O(occupied lines): a cold set is one load
   // and a skip, which matters because clflush-heavy trials re-flush whole
   // hierarchies between runs.
@@ -336,6 +293,7 @@ void SetAssocCache::flush_all() {
   for (std::uint64_t s = 0; s < sets; ++s) {
     std::uint64_t occupied = valid_[s];
     if (!occupied) continue;
+    mark_dirty(s);
     std::uint64_t* row = tags_.data() + s * geometry_.ways;
     while (occupied) {
       const auto w = static_cast<std::uint32_t>(std::countr_zero(occupied));
@@ -355,86 +313,172 @@ void SetAssocCache::rekey() {
 }
 
 void SetAssocCache::reset_stats() {
-  // Zeroes every per-set tally below, outside per-set tracking.
-  all_dirty_ = true;
   stats_ = CacheStats{};
   // The per-set tallies feed the detector and must stay consistent with
   // stats_.evictions (property_test asserts the sum); resetting one without
   // the other let them drift.
-  std::fill(set_evictions_.begin(), set_evictions_.end(), 0);
+  for (std::uint64_t s = 0; s < set_evictions_.size(); ++s) {
+    if (set_evictions_[s] == 0) continue;
+    set_evictions_[s] = 0;
+    mark_dirty(s);
+  }
 }
 
-void SetAssocCache::encode_state(io::Writer& w) const {
-  if (const auto key = indexing_->current_key()) {
+CacheImagePtr SetAssocCache::capture() const {
+  auto image = std::make_shared<CacheImage>();
+  const auto sets = geometry_.sets();
+  for (std::uint64_t s = 0; s < sets; ++s) {
+    const std::uint64_t plru = flat_plru_ ? plru_[s] : 0;
+    // Per-set policy objects cannot be compared with a pristine one, so
+    // those caches list every set.
+    if (flat_plru_ && (valid_[s] | plru | set_evictions_[s]) == 0) continue;
+    image->rows.push_back({.set = static_cast<std::uint32_t>(s),
+                           .tag_offset =
+                               static_cast<std::uint32_t>(image->tags.size()),
+                           .valid = valid_[s],
+                           .plru = plru,
+                           .evictions = set_evictions_[s]});
+    for (std::uint64_t occupied = valid_[s]; occupied != 0;
+         occupied &= occupied - 1)
+      image->tags.push_back(
+          tag_at(s, static_cast<std::uint32_t>(std::countr_zero(occupied))));
+  }
+  for (const auto& policy : policy_) image->policies.push_back(policy->clone());
+  image->key = indexing_->current_key();
+  image->stats = stats_;
+  image->rng = rng_;
+  return image;
+}
+
+void SetAssocCache::clear_row(std::uint64_t set) {
+  // Invalid ways already hold the sentinel (tags mirror valid_).
+  std::uint64_t* row = tags_.data() + set * geometry_.ways;
+  for (std::uint64_t occupied = valid_[set]; occupied != 0;
+       occupied &= occupied - 1)
+    row[std::countr_zero(occupied)] = kInvalidLine;
+  valid_[set] = 0;
+  if (flat_plru_) plru_[set] = 0;
+  set_evictions_[set] = 0;
+}
+
+void SetAssocCache::write_row(const CacheImage& image, std::size_t index) {
+  const CacheImage::Row& row = image.rows[index];
+  clear_row(row.set);
+  std::uint64_t* tags = tags_.data() + std::uint64_t{row.set} * geometry_.ways;
+  const std::uint64_t* from = image.tags.data() + row.tag_offset;
+  for (std::uint64_t occupied = row.valid; occupied != 0;
+       occupied &= occupied - 1)
+    tags[std::countr_zero(occupied)] = *from++;
+  valid_[row.set] = row.valid;
+  if (flat_plru_) plru_[row.set] = row.plru;
+  set_evictions_[row.set] = row.evictions;
+  if (!flat_plru_) policy_[row.set] = image.policies[row.set]->clone();
+}
+
+void SetAssocCache::restore(const CacheImagePtr& image) {
+  MEECC_CHECK(image != nullptr);
+  if (!flat_plru_) {
+    // Dense image (every set listed): overwrite everything.
+    MEECC_CHECK(image->rows.size() == geometry_.sets());
+    for (std::size_t i = 0; i < image->rows.size(); ++i) write_row(*image, i);
+  } else if (image == baseline_) {
+    // Recycling: only the sets touched since the last restore can differ.
+    for (const std::uint32_t s : dirty_sets_) {
+      const std::uint32_t row = baseline_row_[s];
+      if (row == kNoRow)
+        clear_row(s);
+      else
+        write_row(*image, row);
+    }
+  } else {
+    // Back to pristine — touched sets, then the old image's rows — and
+    // the new image's rows on top.
+    for (const std::uint32_t s : dirty_sets_) clear_row(s);
+    if (baseline_ != nullptr) {
+      for (const CacheImage::Row& row : baseline_->rows) {
+        clear_row(row.set);
+        baseline_row_[row.set] = kNoRow;
+      }
+    }
+    if (baseline_row_.empty()) baseline_row_.assign(geometry_.sets(), kNoRow);
+    for (std::size_t i = 0; i < image->rows.size(); ++i) {
+      write_row(*image, i);
+      baseline_row_[image->rows[i].set] = static_cast<std::uint32_t>(i);
+    }
+  }
+  if (image->key && image->key != indexing_->current_key()) {
+    indexing_->rekey(*image->key);
+    refresh_indexing_shortcuts();
+  }
+  stats_ = image->stats;
+  rng_ = image->rng;
+  baseline_ = image;
+  dirty_sets_.clear();
+  ++stamp_gen_;
+}
+
+void encode_cache_image(io::Writer& w, const CacheImage& image) {
+  if (image.key) {
     w.u8(1);
-    w.u64(*key);
+    w.u64(*image.key);
   } else {
     w.u8(0);
   }
-  for (const std::uint64_t tag : tags_) w.u64(tag);
-  for (const std::uint64_t mask : valid_) w.u64(mask);
-  if (flat_plru_) {
-    for (const std::uint64_t word : plru_) w.u64(word);
-  } else {
-    for (const auto& policy : policy_) policy->encode_state(w);
+  w.u64(image.rows.size());
+  for (const CacheImage::Row& row : image.rows) {
+    w.u32(row.set);
+    w.u64(row.valid);
+    w.u64(row.plru);
+    w.u64(row.evictions);
+    const auto valid_ways = std::popcount(row.valid);
+    for (int i = 0; i < valid_ways; ++i) w.u64(image.tags[row.tag_offset + i]);
   }
-  for (const std::uint64_t tally : set_evictions_) w.u64(tally);
-  w.u64(stats_.hits);
-  w.u64(stats_.misses);
-  w.u64(stats_.evictions);
-  w.u64(stats_.invalidations);
-  encode_rng(w, rng_);
+  for (const auto& policy : image.policies) policy->encode_state(w);
+  w.u64(image.stats.hits);
+  w.u64(image.stats.misses);
+  w.u64(image.stats.evictions);
+  w.u64(image.stats.invalidations);
+  encode_rng(w, image.rng);
 }
 
-void SetAssocCache::decode_state(io::Reader& r) {
-  if (r.u8() != 0) {
-    // Replaying the stored key through rekey() keeps the policy's key
-    // private; the derived shortcuts must be rebuilt afterwards.
-    indexing_->rekey(r.u64());
-    refresh_indexing_shortcuts();
+CacheImagePtr SetAssocCache::decode_image(io::Reader& r) const {
+  auto image = std::make_shared<CacheImage>();
+  if (r.u8() != 0) image->key = r.u64();
+  const std::uint64_t sets = geometry_.sets();
+  const std::uint64_t rows = r.count(4 + 3 * 8);  // set + valid/plru/tally
+  if (rows > sets) throw io::DecodeError("cache image has more rows than sets");
+  if (!flat_plru_ && rows != sets)
+    throw io::DecodeError("cache image must list every set of this policy");
+  const std::uint64_t plru_mask =
+      flat_plru_ ? (std::uint64_t{1} << (geometry_.ways - 1)) - 1 : 0;
+  image->rows.reserve(static_cast<std::size_t>(rows));
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    CacheImage::Row row;
+    row.set = r.u32();
+    row.tag_offset = static_cast<std::uint32_t>(image->tags.size());
+    row.valid = r.u64();
+    row.plru = r.u64();
+    row.evictions = r.u64();
+    if (row.set >= sets ||
+        (!image->rows.empty() && row.set <= image->rows.back().set))
+      throw io::DecodeError("cache image rows out of order or range");
+    if ((row.valid & ~ways_mask_) != 0 || (row.plru & ~plru_mask) != 0)
+      throw io::DecodeError("cache image row beyond the cache geometry");
+    for (auto valid_ways = std::popcount(row.valid); valid_ways > 0;
+         --valid_ways)
+      image->tags.push_back(r.u64());
+    image->rows.push_back(row);
   }
-  for (auto& tag : tags_) tag = r.u64();
-  for (auto& mask : valid_) mask = r.u64();
-  if (flat_plru_) {
-    for (auto& word : plru_) word = r.u64();
-  } else {
-    for (auto& policy : policy_) policy->decode_state(r);
+  for (const auto& policy : policy_) {
+    image->policies.push_back(policy->clone());
+    image->policies.back()->decode_state(r);
   }
-  for (auto& tally : set_evictions_) tally = r.u64();
-  stats_.hits = r.u64();
-  stats_.misses = r.u64();
-  stats_.evictions = r.u64();
-  stats_.invalidations = r.u64();
-  rng_ = decode_rng(r);
-  // The wire replaced the whole image; any baseline linkage is stale.
-  all_dirty_ = true;
-}
-
-void SetAssocCache::reset_dirty_tracking() {
-  dirty_sets_.clear();
-  ++stamp_gen_;
-  all_dirty_ = false;
-}
-
-bool SetAssocCache::fast_rewind_to(const SetAssocCache& baseline) {
-  // Non-tree-PLRU replacement keeps per-set policy objects whose rewind
-  // would clone allocations; rekey also swaps the indexing key, which lives
-  // outside the planes. Both are rare off the hot path — full-copy there.
-  if (all_dirty_ || !flat_plru_ || !baseline.flat_plru_ ||
-      tags_.size() != baseline.tags_.size())
-    return false;
-  const std::uint32_t ways = geometry_.ways;
-  for (const std::uint32_t s : dirty_sets_) {
-    std::copy_n(baseline.tags_.data() + std::uint64_t{s} * ways, ways,
-                tags_.data() + std::uint64_t{s} * ways);
-    valid_[s] = baseline.valid_[s];
-    plru_[s] = baseline.plru_[s];
-    set_evictions_[s] = baseline.set_evictions_[s];
-  }
-  stats_ = baseline.stats_;
-  rng_ = baseline.rng_;
-  reset_dirty_tracking();
-  return true;
+  image->stats.hits = r.u64();
+  image->stats.misses = r.u64();
+  image->stats.evictions = r.u64();
+  image->stats.invalidations = r.u64();
+  image->rng = decode_rng(r);
+  return image;
 }
 
 std::uint32_t SetAssocCache::occupancy(std::uint64_t set) const {

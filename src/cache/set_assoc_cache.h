@@ -27,6 +27,7 @@
 #include "cache/geometry.h"
 #include "cache/policy.h"
 #include "cache/replacement.h"
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -44,6 +45,37 @@ struct CacheStats {
   }
 };
 
+/// Snapshot image of a SetAssocCache: only the sets whose rows differ from
+/// a freshly built cache (any valid way, a nonzero PLRU word or eviction
+/// tally), plus the cache-wide stats, RNG and indexing key. Immutable once
+/// captured and shared between snapshot copies. An LLC the covert channel
+/// has flushed clean lists a few thousand of its 8192 sets and stores tags
+/// only for valid ways, instead of megabytes of planes.
+struct CacheImage {
+  struct Row {
+    std::uint32_t set = 0;
+    /// Index in `tags` of this set's first valid way; one entry per set
+    /// bit of `valid`, in way order.
+    std::uint32_t tag_offset = 0;
+    std::uint64_t valid = 0;
+    std::uint64_t plru = 0;  ///< packed tree-PLRU word (0 for other policies)
+    std::uint64_t evictions = 0;
+  };
+  std::vector<Row> rows;  ///< ascending set order
+  std::vector<std::uint64_t> tags;
+  /// Replacement policies other than tree-PLRU keep per-set state outside
+  /// the planes; their caches list every set and carry a copy of each
+  /// set's policy here.
+  std::vector<std::unique_ptr<ReplacementPolicy>> policies;
+  std::optional<std::uint64_t> key;
+  CacheStats stats;
+  Rng rng;
+};
+using CacheImagePtr = std::shared_ptr<const CacheImage>;
+
+/// Canonical wire encoding of an image (the snapshot format's cache part).
+void encode_cache_image(io::Writer& w, const CacheImage& image);
+
 class SetAssocCache {
  public:
   /// Composes the full policy stack named by `config`. The per-set
@@ -55,13 +87,8 @@ class SetAssocCache {
   /// Classic shape: modulo indexing, all-ways fill, `replacement`.
   SetAssocCache(const Geometry& geometry, ReplacementKind replacement, Rng rng);
 
-  /// Deep copy (snapshot/fork support): copies all three planes and clones
-  /// the policy objects so the copy replays the identical victim/admission
-  /// streams. Throws CheckFailure when an externally registered policy
-  /// doesn't implement clone(). Declaring the copy pair suppresses the
-  /// implicit moves, so they're re-defaulted explicitly.
-  SetAssocCache(const SetAssocCache& other);
-  SetAssocCache& operator=(const SetAssocCache& other);
+  SetAssocCache(const SetAssocCache&) = delete;
+  SetAssocCache& operator=(const SetAssocCache&) = delete;
   SetAssocCache(SetAssocCache&&) = default;
   SetAssocCache& operator=(SetAssocCache&&) = default;
 
@@ -122,31 +149,22 @@ class SetAssocCache {
     return set_evictions_;
   }
 
-  /// Snapshot wire format: writes / overwrites the mutable payload (tag and
-  /// meta planes, PLRU words or per-set policy state, indexing key, per-set
-  /// eviction tallies, stats, cache-level RNG). decode_state() runs on a
-  /// cache freshly constructed from the same geometry + config — the shape
-  /// (plane sizes, policy kinds, precomputed masks) comes from construction,
-  /// never from the wire.
-  void encode_state(io::Writer& w) const;
-  void decode_state(io::Reader& r);
+  /// Captures the cache's mutable state as a sparse image. O(sets).
+  CacheImagePtr capture() const;
 
-  /// O(touched) rewind for the snapshot-restore hot path. Precondition
-  /// (the caller's to guarantee — Hierarchy::import_state keys it on the
-  /// State image id): this cache was byte-identical to `baseline` the last
-  /// time its dirty tracking was reset, and has only been mutated through
-  /// its own members since. Copies back just the sets dirtied since then,
-  /// plus the (tiny) stats and RNG, instead of the full planes. Returns
-  /// false without touching anything when the per-set path cannot prove
-  /// itself sound — tracking was widened to "everything" (flush_all, rekey,
-  /// reset_stats, decode_state) or the replacement policy keeps out-of-plane
-  /// state (non-tree-PLRU) — and the caller must full-copy instead.
-  bool fast_rewind_to(const SetAssocCache& baseline);
+  /// Makes this cache's state equal `image`, which must come from a cache
+  /// built from the same geometry and config. The cache remembers the
+  /// image it last restored and which sets changed since, so restoring
+  /// the same image again (recycling) costs O(sets touched), and any
+  /// other image O(sets touched + its rows + the previous image's rows) —
+  /// a freshly built cache is the empty image.
+  void restore(const CacheImagePtr& image);
 
-  /// Declares the current contents a clean baseline image: clears the
-  /// dirty-set list. Called after any full overwrite (copy assignment and
-  /// fast_rewind_to do it themselves).
-  void reset_dirty_tracking();
+  /// Reads one image written by encode_cache_image for a cache shaped like
+  /// this one (geometry, replacement policy). Throws io::DecodeError on
+  /// anything out of shape: a row count above the set count, unsorted or
+  /// out-of-range sets, ways or PLRU bits beyond the geometry.
+  CacheImagePtr decode_image(io::Reader& r) const;
 
  private:
   /// Empty-slot sentinel. Slots store the full line index (addr /
@@ -231,11 +249,14 @@ class SetAssocCache {
   /// never draws from it, keeping legacy streams byte-identical.
   Rng rng_;
 
-  /// Dirty-set tracking for fast_rewind_to(): every mutating access stamps
-  /// its set with the current generation and (first time per generation)
-  /// records it in dirty_sets_. A generation bump is the O(1) "mark all
-  /// clean"; dirty_sets_ keeps its capacity across trials so steady-state
-  /// tracking allocates nothing.
+  void clear_row(std::uint64_t set);
+  void write_row(const CacheImage& image, std::size_t row);
+
+  /// Dirty-set tracking for restore(): every mutating access stamps its set
+  /// with the current generation and (first time per generation) records
+  /// it in dirty_sets_. A generation bump is the O(1) "mark all clean";
+  /// dirty_sets_ keeps its capacity across trials so steady-state tracking
+  /// allocates nothing.
   void mark_dirty(std::uint64_t set) {
     if (set_stamp_[set] == stamp_gen_) return;
     set_stamp_[set] = stamp_gen_;
@@ -244,9 +265,12 @@ class SetAssocCache {
   std::vector<std::uint32_t> dirty_sets_;
   std::vector<std::uint64_t> set_stamp_;
   std::uint64_t stamp_gen_ = 1;
-  /// Set by whole-cache mutations that bypass per-set tracking; forces the
-  /// next restore to full-copy.
-  bool all_dirty_ = false;
+  /// The image the planes equal outside dirty_sets_ (null: a freshly built
+  /// cache), and each set's row in it (kNoRow: a pristine row), allocated
+  /// on the first restore.
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
+  CacheImagePtr baseline_;
+  std::vector<std::uint32_t> baseline_row_;
 };
 
 }  // namespace meecc::cache

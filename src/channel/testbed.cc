@@ -68,7 +68,7 @@ TestBed::TestBed(const TestBedConfig& config, const TestBedSnapshot& snap)
   build_machine();
   system_->restore(snap.system);
   restore_actors(snap);
-  respawn_environment();
+  rearm_environment(snap.agents);
 }
 
 void TestBed::restore_actors(const TestBedSnapshot& snap) {
@@ -85,18 +85,15 @@ void TestBed::restore_actors(const TestBedSnapshot& snap) {
 }
 
 bool TestBed::try_reset(const TestBedSnapshot& snap) {
-  // Cancel is idempotent on empty handles; after a completed trial only the
-  // environment agents are live, so this quiesces the bed. After an aborted
-  // trial (exception mid-transfer) coroutine frames may still be parked —
-  // they cannot be rewound, so report failure instead of CHECK-dying.
-  scheduler().cancel(background_handle_);
-  background_handle_ = sim::ProcessHandle{};
-  scheduler().cancel(noise_handle_);
-  noise_handle_ = sim::ProcessHandle{};
+  // After a completed trial only the environment agents are live, so
+  // stopping them quiesces the bed. After an aborted trial (exception
+  // mid-transfer) other coroutine frames may still be parked — they cannot
+  // be rewound, so report failure instead of CHECK-dying.
+  stop_environment();
   if (!scheduler().idle() || scheduler().live_processes() != 0) return false;
   system_->restore_into(snap.system);
   restore_actors(snap);
-  respawn_environment();
+  rearm_environment(snap.agents);
   return true;
 }
 
@@ -130,14 +127,29 @@ void TestBed::build_machine() {
 }
 
 void TestBed::spawn_environment() {
-  if (config_.background_mean_gap > 0) {
-    background_handle_ = scheduler().spawn(sim::background_activity(
-        *background_actor_,
-        sim::BackgroundConfig{.base = background_enclave_->base(),
-                              .bytes = background_enclave_->size(),
-                              .mean_gap = config_.background_mean_gap}));
-  }
+  spawn_background();
   if (config_.noise_autostart) start_noise();
+}
+
+void TestBed::spawn_background() {
+  if (config_.background_mean_gap == 0) return;
+  background_cursor_ = sim::AgentCursor{};
+  background_handle_ = scheduler().spawn(background_agent());
+}
+
+void TestBed::spawn_noise() {
+  if (config_.noise == NoiseEnv::kNone) return;
+  noise_cursor_ = sim::AgentCursor{};
+  noise_handle_ = scheduler().spawn(noise_agent());
+}
+
+sim::Process TestBed::background_agent() {
+  return sim::background_activity(
+      *background_actor_,
+      sim::BackgroundConfig{.base = background_enclave_->base(),
+                            .bytes = background_enclave_->size(),
+                            .mean_gap = config_.background_mean_gap},
+      &background_cursor_);
 }
 
 void TestBed::start_noise() {
@@ -147,72 +159,119 @@ void TestBed::start_noise() {
   // must not generate traffic "in the past".
   noise_actor_->busy_wait_until(scheduler().now());
   if (config_.noise == NoiseEnv::kMemoryStress) {
-    // The mapping survives quiesce/respawn (it lives in the actor's address
+    // The mapping survives restarts and forks (it lives in the actor's address
     // space, not in the agent), so it happens once here, not per spawn.
     sim::map_general_buffer(*noise_actor_, VirtAddr{0x6000'0000'0000ULL},
                             16ull << 20);
   }
-  spawn_noise_agent();
+  spawn_noise();
 }
 
-void TestBed::spawn_noise_agent() {
+sim::Process TestBed::noise_agent() {
   switch (config_.noise) {
-    case NoiseEnv::kNone:
-      break;
     case NoiseEnv::kMemoryStress:
-      noise_handle_ = scheduler().spawn(sim::memory_stressor(
+      return sim::memory_stressor(
           *noise_actor_,
           sim::StressorConfig{.base = VirtAddr{0x6000'0000'0000ULL},
                               .bytes = 16ull << 20,
                               .gap = 120,
-                              .flush_probability = 0.5}));
-      break;
+                              .flush_probability = 0.5},
+          &noise_cursor_);
     case NoiseEnv::kMeeStride512:
-      noise_handle_ = scheduler().spawn(sim::mee_stride_walker(
-          *noise_actor_, sim::StrideWalkerConfig{.base = noise_enclave_->base(),
-                                                 .bytes = noise_enclave_->size(),
-                                                 .stride = 512,
-                                                 .gap = 180}));
-      break;
+      return sim::mee_stride_walker(
+          *noise_actor_,
+          sim::StrideWalkerConfig{.base = noise_enclave_->base(),
+                                  .bytes = noise_enclave_->size(),
+                                  .stride = 512,
+                                  .gap = 180},
+          &noise_cursor_);
     case NoiseEnv::kMeeStride4K:
       // A 512 KB window keeps the lap short enough that the per-lap column
       // rotation sweeps all eight versions alias families within a transfer.
-      noise_handle_ = scheduler().spawn(sim::mee_stride_walker(
-          *noise_actor_, sim::StrideWalkerConfig{.base = noise_enclave_->base(),
-                                                 .bytes = std::min<std::uint64_t>(
-                                                     noise_enclave_->size(),
-                                                     512 * 1024),
-                                                 .stride = 4096,
-                                                 .gap = 180}));
+      return sim::mee_stride_walker(
+          *noise_actor_,
+          sim::StrideWalkerConfig{
+              .base = noise_enclave_->base(),
+              .bytes = std::min<std::uint64_t>(noise_enclave_->size(),
+                                               512 * 1024),
+              .stride = 4096,
+              .gap = 180},
+          &noise_cursor_);
+    case NoiseEnv::kNone:
       break;
   }
+  throw CheckFailure("no noise agent for noise=none");
 }
 
-void TestBed::quiesce_environment() {
+std::vector<ParkedAgent> TestBed::park_environment() {
+  struct Captured {
+    ParkedAgent agent;
+    sim::CancelledEvent event;
+  };
+  std::vector<Captured> captured;
+  const auto park = [&](sim::ProcessHandle& handle, ParkedAgent::Kind kind,
+                        const sim::AgentCursor& cursor) {
+    const auto event = scheduler().cancel(handle);
+    handle = sim::ProcessHandle{};
+    if (event)
+      captured.push_back({ParkedAgent{kind, cursor, event->when}, *event});
+  };
+  park(background_handle_, ParkedAgent::Kind::kBackground, background_cursor_);
+  park(noise_handle_, ParkedAgent::Kind::kNoise, noise_cursor_);
+  // Dispatch order; equal keys keep cancel order (see CancelledEvent).
+  std::stable_sort(captured.begin(), captured.end(),
+                   [](const Captured& a, const Captured& b) {
+                     const auto& x = a.event;
+                     const auto& y = b.event;
+                     if (x.when != y.when) return x.when < y.when;
+                     if (x.bucket_seq != y.bucket_seq)
+                       return x.bucket_seq < y.bucket_seq;
+                     return x.position < y.position;
+                   });
+  std::vector<ParkedAgent> agents;
+  agents.reserve(captured.size());
+  for (const Captured& c : captured) agents.push_back(c.agent);
+  return agents;
+}
+
+void TestBed::stop_environment() {
   scheduler().cancel(background_handle_);
   background_handle_ = sim::ProcessHandle{};
   scheduler().cancel(noise_handle_);
   noise_handle_ = sim::ProcessHandle{};
-  MEECC_CHECK_MSG(
-      scheduler().idle() && scheduler().live_processes() == 0,
-      "agents beyond the environment are still live at the quiesce boundary");
 }
 
-void TestBed::respawn_environment() {
-  if (config_.background_mean_gap > 0) {
-    background_handle_ = scheduler().spawn(sim::background_activity(
-        *background_actor_,
-        sim::BackgroundConfig{.base = background_enclave_->base(),
-                              .bytes = background_enclave_->size(),
-                              .mean_gap = config_.background_mean_gap}));
+void TestBed::rearm_environment(const std::vector<ParkedAgent>& agents) {
+  for (const ParkedAgent& agent : agents) {
+    const bool background = agent.kind == ParkedAgent::Kind::kBackground;
+    sim::AgentCursor& cursor = background ? background_cursor_ : noise_cursor_;
+    cursor = agent.cursor;
+    cursor.resume = true;
+    (background ? background_handle_ : noise_handle_) = scheduler().rearm(
+        background ? background_agent() : noise_agent(), agent.when);
   }
-  // Not start_noise(): the stress buffer is already mapped (restored with
-  // the actor's address space) and the noise clock is already current.
-  if (noise_started_) spawn_noise_agent();
+}
+
+void TestBed::restart_environment() {
+  stop_environment();
+  MEECC_CHECK_MSG(
+      scheduler().idle() && scheduler().live_processes() == 0,
+      "agents beyond the environment are still live at the restart boundary");
+  spawn_background();
+  // Not start_noise(): the stress buffer is already mapped (it lives in the
+  // actor's address space) and the noise clock is already current.
+  if (noise_started_) spawn_noise();
 }
 
 TestBedSnapshot TestBed::snapshot() {
-  return TestBedSnapshot{
+  // The environment agents are captured by parking them — their cursors
+  // and pending event times go into the snapshot — and then continued
+  // from exactly there, the same re-arm a fork performs.
+  std::vector<ParkedAgent> agents = park_environment();
+  MEECC_CHECK_MSG(
+      scheduler().idle() && scheduler().live_processes() == 0,
+      "agents beyond the environment are still live at the snapshot point");
+  TestBedSnapshot snap{
       .system = system_->snapshot(),
       .actors = {{{trojan_actor_->now(), trojan_actor_->rng(),
                    trojan_actor_->vas()},
@@ -221,7 +280,10 @@ TestBedSnapshot TestBed::snapshot() {
                    noise_actor_->vas()},
                   {background_actor_->now(), background_actor_->rng(),
                    background_actor_->vas()}}},
-      .noise_started = noise_started_};
+      .noise_started = noise_started_,
+      .agents = std::move(agents)};
+  rearm_environment(snap.agents);
+  return snap;
 }
 
 void encode_testbed_snapshot(io::Writer& w, sim::System& shape,
@@ -238,6 +300,15 @@ void encode_testbed_snapshot(io::Writer& w, sim::System& shape,
     }
   }
   w.u8(snap.noise_started ? 1 : 0);
+  w.u64(snap.agents.size());
+  for (const ParkedAgent& agent : snap.agents) {
+    w.u8(static_cast<std::uint8_t>(agent.kind));
+    w.u8(static_cast<std::uint8_t>(agent.cursor.op));
+    w.u64(agent.cursor.target.raw);
+    w.u64(agent.cursor.lap);
+    w.u64(agent.cursor.offset);
+    w.u64(agent.when);
+  }
 }
 
 TestBedSnapshot decode_testbed_snapshot(io::Reader& r, sim::System& shape) {
@@ -246,7 +317,8 @@ TestBedSnapshot decode_testbed_snapshot(io::Reader& r, sim::System& shape) {
   TestBedSnapshot::ActorState blank{0, Rng(), mem::VirtualAddressSpace()};
   TestBedSnapshot snap{.system = sim::decode_snapshot(r, shape),
                        .actors = {{blank, blank, blank, blank}},
-                       .noise_started = false};
+                       .noise_started = false,
+                       .agents = {}};
   for (auto& actor : snap.actors) {
     actor.clock = r.u64();
     actor.rng = decode_rng(r);
@@ -261,6 +333,23 @@ TestBedSnapshot decode_testbed_snapshot(io::Reader& r, sim::System& shape) {
     actor.vas.import_pages(pages);
   }
   snap.noise_started = r.u8() != 0;
+  const std::uint64_t agent_count = r.count(34);  // 2 tags + 4 words
+  if (agent_count > 2) throw io::DecodeError("more than two parked agents");
+  for (std::uint64_t i = 0; i < agent_count; ++i) {
+    ParkedAgent agent;
+    const std::uint8_t kind = r.u8();
+    const std::uint8_t op = r.u8();
+    if (kind > static_cast<std::uint8_t>(ParkedAgent::Kind::kNoise) ||
+        op > static_cast<std::uint8_t>(sim::AgentCursor::Op::kSleep))
+      throw io::DecodeError("bad parked agent tag");
+    agent.kind = static_cast<ParkedAgent::Kind>(kind);
+    agent.cursor.op = static_cast<sim::AgentCursor::Op>(op);
+    agent.cursor.target = VirtAddr{r.u64()};
+    agent.cursor.lap = r.u64();
+    agent.cursor.offset = r.u64();
+    agent.when = r.u64();
+    snap.agents.push_back(agent);
+  }
   return snap;
 }
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/types.h"
 #include "sgx/enclave.h"
@@ -53,11 +54,23 @@ struct TestBedConfig {
 /// EPC, MEE cache 64 KB/8-way/128 sets, 4.2 GHz.
 TestBedConfig default_testbed_config(std::uint64_t seed = 42);
 
-/// Warm test-bed state at a quiesce boundary (environment agents
-/// cancelled, scheduler drained): the machine snapshot plus each actor's
-/// local clock, RNG stream and address space, and whether deferred noise
-/// had started. Forking from it skips whatever warm-up produced it —
-/// typically Algorithm 1 + monitor discovery.
+/// An environment agent (background activity or the Fig. 8 noise agent)
+/// captured live: where it is in its loop and when its pending event is
+/// due. TestBedSnapshot lists them in the order the scheduler would have
+/// dispatched them.
+struct ParkedAgent {
+  enum class Kind : std::uint8_t { kBackground, kNoise };
+  Kind kind = Kind::kBackground;
+  sim::AgentCursor cursor;
+  Cycles when = 0;
+};
+
+/// Exact test-bed state at any point where only the environment agents are
+/// live (typically after Algorithm 1 + monitor discovery): the machine
+/// snapshot, each actor's local clock, RNG stream and address space,
+/// whether deferred noise had started, and the environment agents
+/// mid-flight. A bed forked from it is the donor continuing — same events,
+/// same counters — so forking skips whatever warm-up produced it.
 struct TestBedSnapshot {
   struct ActorState {
     Cycles clock = 0;
@@ -68,6 +81,7 @@ struct TestBedSnapshot {
   sim::SystemSnapshot system;
   std::array<ActorState, 4> actors;  ///< trojan, spy, noise, background
   bool noise_started = false;
+  std::vector<ParkedAgent> agents;  ///< in dispatch order
 };
 
 /// Snapshot wire format for a full bed: the machine snapshot plus each
@@ -85,9 +99,9 @@ class TestBed {
   /// Fork constructor: rebuilds the machine from `config` — replaying the
   /// deterministic construction prefix (RNG fork order, EPC frame
   /// allocation) — then overwrites all mutable state from `snap` and
-  /// respawns the environment agents. The result is observationally
-  /// identical to the donor bed at its quiesce boundary. `config` must
-  /// equal the config the donor was built from.
+  /// re-arms the environment agents where they were. The result is the
+  /// donor bed continuing from the snapshot point, counters included.
+  /// `config` must equal the config the donor was built from.
   TestBed(const TestBedConfig& config, const TestBedSnapshot& snap);
 
   sim::System& system() { return *system_; }
@@ -106,31 +120,27 @@ class TestBed {
   /// (no-op for NoiseEnv::kNone or if it auto-started).
   void start_noise();
 
-  /// Cancels the environment agents (background activity + noise), leaving
-  /// the scheduler quiesced so snapshot() can run. Every other agent must
-  /// already have finished — call between channel phases, not mid-run.
-  void quiesce_environment();
+  /// Restarts the environment agents: cancels them and spawns them anew in
+  /// the original spawn order. A restarted agent begins a fresh loop
+  /// iteration (new draws from the actor's RNG stream, one more
+  /// des.spawned), so this is a visible boundary, not a no-op. Every other
+  /// agent must already have finished.
+  void restart_environment();
 
-  /// Re-spawns the agents cancelled by quiesce_environment(), in the
-  /// original spawn order. A respawned agent restarts its loop body (fresh
-  /// draws from the actor's live RNG stream), so the boundary is NOT a
-  /// no-op — both the fork path and the fresh path must pass through the
-  /// same quiesce→respawn boundary to stay trace-identical.
-  void respawn_environment();
-
-  /// Captures the bed's full state. Call between quiesce_environment() and
-  /// respawn_environment().
+  /// Captures the bed's full state. Every agent other than the
+  /// environment agents must have finished; those are captured live and
+  /// keep running, so taking a snapshot does not perturb the bed.
   TestBedSnapshot snapshot();
 
   /// Rewinds a used bed back to `snap` in place — the recycling equivalent
   /// of the fork constructor, reusing the machine's cache planes, DRAM
   /// delta buckets, arena chunks and pad tables instead of reallocating
-  /// them. Returns false (leaving the bed unusable) if the bed cannot be
-  /// quiesced — an aborted trial left agents live — in which case the
-  /// caller must discard it and fork a fresh bed. `snap` must come from a
-  /// bed with an identical config, and the caller must keep it alive and
-  /// unmoved while the bed is recycled against it (the O(touched) counter
-  /// rewind keys on its address).
+  /// them. Returns false (leaving the bed unusable) if agents other than
+  /// the environment are still live — an aborted trial — in which case
+  /// the caller must discard it and fork a fresh bed. `snap` must come
+  /// from a bed with an identical config, and the caller must keep it
+  /// alive and unmoved while the bed is recycled against it (the
+  /// O(touched) counter rewind keys on its address).
   bool try_reset(const TestBedSnapshot& snap);
 
   const TestBedConfig& config() const { return config_; }
@@ -138,13 +148,24 @@ class TestBed {
  private:
   void build_machine();
   void spawn_environment();
-  void spawn_noise_agent();
+  void spawn_background();
+  void spawn_noise();
+  sim::Process noise_agent();
+  sim::Process background_agent();
   void restore_actors(const TestBedSnapshot& snap);
+  /// Cancels the environment agents, returning them in dispatch order.
+  std::vector<ParkedAgent> park_environment();
+  /// Cancels the environment agents.
+  void stop_environment();
+  /// Continues parked agents where park_environment() captured them.
+  void rearm_environment(const std::vector<ParkedAgent>& agents);
 
   TestBedConfig config_;
   bool noise_started_ = false;
   sim::ProcessHandle background_handle_;
   sim::ProcessHandle noise_handle_;
+  sim::AgentCursor background_cursor_;
+  sim::AgentCursor noise_cursor_;
   std::unique_ptr<sim::System> system_;
   std::unique_ptr<sim::Actor> trojan_actor_;
   std::unique_ptr<sim::Actor> spy_actor_;

@@ -124,7 +124,7 @@ void MeeEngine::count_walk(CoreId core, const WalkResult& walk,
 }
 
 MeeEngine::State MeeEngine::export_state() const {
-  return State{.cache = cache_,
+  return State{.cache = cache_.capture(),
                .root_counters = root_counters_,
                .rng = rng_,
                .busy_until = busy_until_,
@@ -134,7 +134,7 @@ MeeEngine::State MeeEngine::export_state() const {
 }
 
 void MeeEngine::import_state(const State& state) {
-  cache_ = state.cache;
+  cache_.restore(state.cache);
   root_counters_ = state.root_counters;
   rng_ = state.rng;
   busy_until_ = state.busy_until;

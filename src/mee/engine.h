@@ -162,7 +162,7 @@ class MeeEngine {
   /// Tree-node contents live in the System's PhysicalMemory and are
   /// captured there; obs counter handles stay with the engine.
   struct State {
-    cache::SetAssocCache cache;
+    cache::CacheImagePtr cache;
     std::vector<std::uint64_t> root_counters;
     Rng rng;
     Cycles busy_until = 0;

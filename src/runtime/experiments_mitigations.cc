@@ -13,21 +13,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <sstream>
 
 #include "channel/covert_channel.h"
 #include "channel/mitigation.h"
-#include "channel/testbed.h"
-#include "common/bytes.h"
 #include "common/check.h"
-#include "obs/scope.h"
-#include "runtime/bed_pool.h"
+#include "runtime/channel_setup.h"
 #include "runtime/experiments.h"
 #include "runtime/params.h"
 #include "runtime/registry.h"
-#include "runtime/setup_cache.h"
-#include "sim/snapshot_io.h"
 
 namespace meecc::runtime {
 
@@ -41,6 +35,8 @@ double binary_entropy(double p) {
   return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
 }
 
+constexpr std::string_view kSetupFamily = "mitigation-setup";
+
 struct ChannelOutcome {
   bool setup_ok = false;
   std::uint32_t eviction_set_size = 0;
@@ -50,217 +46,25 @@ struct ChannelOutcome {
   std::uint64_t rekeys = 0;
 };
 
-/// Warm channel state at the quiesce boundary between setup and transfer:
-/// everything Algorithm 1 + monitor discovery produced, shareable across
-/// every trial that differs only in measure-phase parameters (payload
-/// bits). Setup failure is part of the state — sharing trials replay the
-/// blocked outcome without re-running Algorithm 1.
-struct ChannelWarmState {
-  channel::TestBedSnapshot bed;
-  channel::ChannelSetup setup;
-  bool setup_ok = false;
-};
-
-/// The key naming the warm state a trial at `seed` can share: machine seed
-/// plus every shared-config param (measure-phase locals like "bits" are
-/// deliberately excluded).
-std::string warm_key_for(const TrialSpec& spec, std::uint64_t seed) {
-  std::string key = "mitigation-setup|seed=" + std::to_string(seed);
-  for (const auto& [param, value] : spec.params)
-    if (is_config_key(param)) key += '|' + param + '=' + value;
-  return key;
-}
-
-/// Builds a bed from `config`, runs channel setup (Algorithm 1 + beacon
-/// discovery), and captures the bed at the quiesce boundary. Runs under a
-/// detached TrialScope so the donor machine's counters/traces belong to no
-/// single trial — forks restore the snapshot's counter baseline instead.
-std::shared_ptr<const ChannelWarmState> warm_channel_setup(
-    const channel::TestBedConfig& config) {
-  obs::TrialScope shield(nullptr);
-  channel::TestBed bed(config);
-  channel::ChannelSetup setup;
-  bool setup_ok = false;
-  try {
-    setup = channel::setup_covert_channel(bed, channel::ChannelConfig{});
-    setup_ok = true;
-  } catch (const CheckFailure&) {
-    // Algorithm 1 / monitor discovery could not establish the channel
-    // under this policy — exactly the mitigation succeeding. Snapshot the
-    // bed anyway so the failure (and its counters) replays cheaply.
-  }
-  bed.quiesce_environment();
-  return std::make_shared<const ChannelWarmState>(ChannelWarmState{
-      .bed = bed.snapshot(), .setup = setup, .setup_ok = setup_ok});
-}
-
-/// Wire codec for ChannelWarmState (the on-disk setup store): the bed
-/// snapshot through channel/sim snapshot_io, then the discovered channel
-/// artifacts. Both directions build a scratch shape System from `config` —
-/// cheap next to the Algorithm 1 run the stored state replaces.
-std::string encode_warm_state(const channel::TestBedConfig& config,
-                              const ChannelWarmState& state) {
-  sim::System shape(config.system);
-  io::Writer w;
-  channel::encode_testbed_snapshot(w, shape, state.bed);
-  const auto encode_addrs = [&w](const std::vector<VirtAddr>& addrs) {
-    w.u64(addrs.size());
-    for (const auto addr : addrs) w.u64(addr.raw);
-  };
-  encode_addrs(state.setup.eviction.eviction_set);
-  encode_addrs(state.setup.eviction.index_set);
-  w.u64(state.setup.eviction.test_address.raw);
-  w.u8(state.setup.eviction.found_test_address ? 1 : 0);
-  w.u8(state.setup.eviction.done ? 1 : 0);
-  w.u64(state.setup.monitor.raw);
-  w.u8(state.setup.monitor_found ? 1 : 0);
-  w.u8(state.setup_ok ? 1 : 0);
-  return w.take();
-}
-
-std::shared_ptr<const ChannelWarmState> decode_warm_state(
-    const channel::TestBedConfig& config, std::string_view payload) {
-  sim::System shape(config.system);
-  io::Reader r(payload);
-  auto state = std::make_shared<ChannelWarmState>(
-      ChannelWarmState{.bed = channel::decode_testbed_snapshot(r, shape),
-                       .setup = {},
-                       .setup_ok = false});
-  const auto decode_addrs = [&r](std::vector<VirtAddr>& addrs) {
-    addrs.resize(static_cast<std::size_t>(r.u64()));
-    for (auto& addr : addrs) addr = VirtAddr{r.u64()};
-  };
-  decode_addrs(state->setup.eviction.eviction_set);
-  decode_addrs(state->setup.eviction.index_set);
-  state->setup.eviction.test_address = VirtAddr{r.u64()};
-  state->setup.eviction.found_test_address = r.u8() != 0;
-  state->setup.eviction.done = r.u8() != 0;
-  state->setup.monitor = VirtAddr{r.u64()};
-  state->setup.monitor_found = r.u8() != 0;
-  state->setup_ok = r.u8() != 0;
-  r.expect_done();
-  return state;
-}
-
-/// RAII lease on one trial's TestBed. With an ambient BedPool the bed is
-/// recycled: taken from the pool, rewound in place to the snapshot, and
-/// parked again on release — after absorbing its counters into the ambient
-/// TrialScope, exactly what the fresh path's System destructor does, so
-/// per-trial counter totals are identical in both modes. Without a pool
-/// (recycling off, tracing, direct run() calls) it degenerates to plain
-/// construction and destruction.
-class TrialBed {
- public:
-  /// Measure bed, forked from the warm state's snapshot. The aliasing
-  /// `snap` pointer pins the warm state while the bed sits in the pool,
-  /// and its address is the recycling identity: a pooled bed is rewound
-  /// only against the very snapshot it was forked from.
-  TrialBed(const channel::TestBedConfig& config, std::string key,
-           const std::shared_ptr<const ChannelWarmState>& warm)
-      : pool_(shared_setup_pool()), key_(std::move(key)) {
-    const std::shared_ptr<const channel::TestBedSnapshot> snap(warm,
-                                                               &warm->bed);
-    if (pool_ != nullptr) {
-      PooledBed pooled = pool_->take(key_);
-      if (pooled && pooled.snap == snap && pooled.bed->try_reset(*snap)) {
-        pool_->note_recycle();
-        entry_ = std::move(pooled);
-        return;
-      }
-      if (pooled) BedPool::drop(std::move(pooled));
-    }
-    entry_.bed = std::make_unique<channel::TestBed>(config, *snap);
-    entry_.snap = snap;
-  }
-
-  /// Legit-workload bed, built from scratch. BOTH modes cross the
-  /// quiesce→respawn boundary (a respawned environment agent is not a
-  /// construction no-op), so recycled and fresh runs stay byte-identical;
-  /// the first pooled use captures the pristine snapshot between the two
-  /// halves of that boundary for later rewinds.
-  TrialBed(const channel::TestBedConfig& config, std::string key)
-      : pool_(ambient_pool()), key_(std::move(key)) {
-    if (pool_ != nullptr) {
-      PooledBed pooled = pool_->take(key_);
-      if (pooled && pooled.snap != nullptr &&
-          pooled.bed->try_reset(*pooled.snap)) {
-        pool_->note_recycle();
-        entry_ = std::move(pooled);
-        return;
-      }
-      if (pooled) BedPool::drop(std::move(pooled));
-    }
-    entry_.bed = std::make_unique<channel::TestBed>(config);
-    entry_.bed->quiesce_environment();
-    if (pool_ != nullptr)
-      entry_.snap = std::make_shared<const channel::TestBedSnapshot>(
-          entry_.bed->snapshot());
-    entry_.bed->respawn_environment();
-  }
-
-  ~TrialBed() {
-    if (!entry_.bed) return;
-    if (pool_ == nullptr) {
-      entry_.bed.reset();  // the System destructor absorbs the counters
-      return;
-    }
-    if (auto* scope = obs::TrialScope::current())
-      scope->absorb(entry_.bed->system().hub().registry());
-    pool_->put(std::move(key_), std::move(entry_));
-  }
-
-  TrialBed(const TrialBed&) = delete;
-  TrialBed& operator=(const TrialBed&) = delete;
-
-  channel::TestBed& operator*() { return *entry_.bed; }
-  channel::TestBed* operator->() { return entry_.bed.get(); }
-
- private:
-  static BedPool* ambient_pool() {
-    TrialContext* context = TrialContext::current();
-    return context != nullptr ? context->bed_pool() : nullptr;
-  }
-  /// Measure beds only recycle usefully when the warm state itself is
-  /// shared (same snapshot across trials); without a SetupCache every
-  /// trial builds a private warm state and pooling would just churn.
-  static BedPool* shared_setup_pool() {
-    TrialContext* context = TrialContext::current();
-    return context != nullptr && context->setup_cache() != nullptr
-               ? context->bed_pool()
-               : nullptr;
-  }
-
-  BedPool* pool_;
-  std::string key_;
-  PooledBed entry_;
-};
-
 /// End-to-end attack attempt (Algorithm 1 + discovery + Algorithm 2) for
-/// `spec` with `seed`. The setup phase is fetched through the memoized warm
-/// state and the measure phase ALWAYS runs on a fork — with or without an
-/// ambient SetupCache the execution path is identical, so snapshot reuse
-/// cannot change results.
+/// `spec` with `seed`. The setup is shared through runtime/channel_setup.h;
+/// the measure phase then restarts the environment agents, an explicit
+/// boundary that keeps this experiment's records what they have always
+/// been.
 ChannelOutcome attempt_channel(const TrialSpec& spec, std::uint64_t seed,
                                const std::vector<std::uint8_t>& payload) {
   channel::TestBedConfig config = make_testbed_config(spec);
   config.system.seed = seed;
-  const std::string key = warm_key_for(spec, seed);
-  const auto warm = memoized_setup<ChannelWarmState>(
-      key, [&] { return warm_channel_setup(config); },
-      [&](const ChannelWarmState& state) {
-        return encode_warm_state(config, state);
-      },
-      [&](std::string_view bytes) {
-        return decode_warm_state(config, bytes);
-      });
-  TrialBed bed(config, key + "|measure", warm);
+  ChannelTrial trial(config, warm_key_for(kSetupFamily, spec, seed));
+  channel::TestBed& bed = trial.bed();
+  bed.restart_environment();
   ChannelOutcome outcome;
-  if (warm->setup_ok) {
+  if (trial.outcome().ok) {
     try {
       // Deferred noise arrives once the channel is live (Fig. 8 scenario).
-      bed->start_noise();
+      bed.start_noise();
       const auto result = channel::transfer_covert_channel(
-          *bed, channel::ChannelConfig{}, payload, warm->setup);
+          bed, channel::ChannelConfig{}, payload, trial.setup());
       outcome.setup_ok = true;
       outcome.eviction_set_size = result.eviction.associativity();
       outcome.error_rate = result.error_rate;
@@ -272,7 +76,7 @@ ChannelOutcome attempt_channel(const TrialSpec& spec, std::uint64_t seed,
       // Transfer collapsed under this policy; report as a failed attempt.
     }
   }
-  outcome.rekeys = bed->system().mee().rekeys();
+  outcome.rekeys = bed.system().mee().rekeys();
   return outcome;
 }
 
@@ -295,8 +99,10 @@ TrialResult run_mitigation_channel(const TrialSpec& spec) {
   // set sized to exactly fill an unmitigated 8-way MEE cache.
   channel::TestBedConfig legit_config = make_testbed_config(spec);
   legit_config.system.seed = spec.seed + 1000;
-  TrialBed legit_bed(legit_config,
-                     warm_key_for(spec, legit_config.system.seed) + "|legit");
+  TrialBed legit_bed(
+      legit_config,
+      warm_key_for(kSetupFamily, spec, legit_config.system.seed) + "|legit");
+  legit_bed->restart_environment();
   const auto legit = channel::measure_legit_workload(
       *legit_bed, param_u64(spec, "legit_bytes", 256 * 1024),
       static_cast<int>(param_u64(spec, "legit_samples", 3000)));
@@ -357,7 +163,7 @@ void register_mitigation_experiments() {
        .default_sweeps = {{"mee.cache.indexing", "modulo,keyed"}},
        .run = run_mitigation_channel,
        .setup_key = [](const TrialSpec& spec) {
-         return warm_key_for(spec, spec.seed);
+         return warm_key_for(kSetupFamily, spec, spec.seed);
        }});
   register_experiment(
       {.name = "mitigation_rekey",
@@ -372,7 +178,7 @@ void register_mitigation_experiments() {
        .default_sweeps = {{"mee.cache.rekey_period", "0,20000,5000,1000"}},
        .run = run_mitigation_channel,
        .setup_key = [](const TrialSpec& spec) {
-         return warm_key_for(spec, spec.seed);
+         return warm_key_for(kSetupFamily, spec, spec.seed);
        }});
 }
 

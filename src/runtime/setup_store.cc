@@ -21,14 +21,16 @@ std::uint64_t setup_store_config_hash(std::string_view experiment_name) {
   return io::fnv1a64(w.data());
 }
 
-SetupStore::SetupStore(std::string directory, std::uint64_t config_hash)
-    : directory_(std::move(directory)), config_hash_(config_hash) {}
+SetupStore::SetupStore(std::string directory,
+                       std::string_view experiment_name)
+    : directory_(std::move(directory)),
+      address_seed_(io::fnv1a64(experiment_name)),
+      config_hash_(setup_store_config_hash(experiment_name)) {}
 
 std::string SetupStore::path_for(const std::string& setup_key) const {
-  // Content address: the key hash chained with the config hash, so two
-  // configs never contend for one file. Collisions are survivable — the
-  // embedded setup_key is verified on load.
-  const std::uint64_t address = io::fnv1a64(setup_key, config_hash_);
+  // The key hash chained with the experiment-name hash. Collisions are
+  // survivable — the embedded setup_key is verified on load.
+  const std::uint64_t address = io::fnv1a64(setup_key, address_seed_);
   char name[32];
   std::snprintf(name, sizeof(name), "%016llx.setup",
                 static_cast<unsigned long long>(address));

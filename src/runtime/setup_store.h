@@ -1,17 +1,23 @@
-// Content-addressed on-disk store for serialized warm setup states.
+// On-disk store for serialized warm setup states.
 //
 // The in-process SetupCache (setup_cache.h) makes a sweep build each warm
 // state once per process; this store makes it once per *campaign*: a built
 // state is encoded (experiment-defined codec), framed (common/bytes.h) and
-// written under a content address derived from its setup_key and the
-// store's config hash, so a restarted process — or a shard running on
-// another host — loads the bytes instead of re-running Algorithm 1.
+// written under an address derived from its setup_key and the experiment
+// name, so a restarted process — or a shard running on another host —
+// loads the bytes instead of re-running Algorithm 1.
+//
+// The address deliberately leaves out the snapshot format version: an
+// entry written by an older build sits at the very path a rebuild writes
+// to, is rejected at the frame's config-hash check (which does fold the
+// version in), and is overwritten in place — a format bump never strands
+// dead files in the directory.
 //
 // Trust model: a loaded entry is used only when every frame check passes
 // (length, magic, format version, config hash, checksum) AND the embedded
-// setup_key matches (the 64-bit content address could collide). Every
-// failure mode maps to a distinct Lookup status; callers treat all of them
-// as "build fresh" — a corrupt store can cost time, never correctness.
+// setup_key matches (the 64-bit address could collide). Every failure
+// mode maps to a distinct Lookup status; callers treat all of them as
+// "build fresh" — a corrupt store can cost time, never correctness.
 //
 // Writes are atomic (temp file + rename) so a killed shard never leaves a
 // torn entry for the next one to trip on.
@@ -29,9 +35,8 @@ namespace meecc::runtime {
 
 /// Canonical config hash for a setup store: the snapshot wire-format
 /// version chained with the experiment name. Everything else that shapes a
-/// warm state (seed, config-key params) is part of the setup_key and so of
-/// the entry's content address; a snapshot-format bump invalidates every
-/// entry at the config-hash check.
+/// warm state (seed, config-key params) is part of the setup_key; a
+/// snapshot-format bump makes every older entry fail the config-hash check.
 std::uint64_t setup_store_config_hash(std::string_view experiment_name);
 
 class SetupStore {
@@ -40,8 +45,12 @@ class SetupStore {
   static constexpr std::uint64_t kMagic = 0x4d45454353'455450ULL;
   static constexpr std::uint32_t kFormatVersion = 1;
 
-  /// `directory` is created on first store(); `config_hash` gates loads.
-  SetupStore(std::string directory, std::uint64_t config_hash);
+  /// Store for `experiment_name`'s entries: loads are gated on
+  /// setup_store_config_hash(experiment_name), and entries are addressed
+  /// by (experiment name, setup_key), so experiments sharing one directory
+  /// — even with equal setup keys — never contend for a file.
+  /// `directory` is created on first store().
+  SetupStore(std::string directory, std::string_view experiment_name);
 
   enum class Lookup {
     kHit,
@@ -67,7 +76,8 @@ class SetupStore {
   /// returns false on I/O failure (the campaign still works, just warm).
   bool store(const std::string& setup_key, std::string_view payload) const;
 
-  /// Entry file path for `setup_key` (content address under directory).
+  /// Entry file path for `setup_key`: a hash of the experiment name and
+  /// the key, under directory.
   std::string path_for(const std::string& setup_key) const;
 
   const std::string& directory() const { return directory_; }
@@ -75,6 +85,7 @@ class SetupStore {
 
  private:
   std::string directory_;
+  std::uint64_t address_seed_;  ///< hash of the experiment name
   std::uint64_t config_hash_;
 };
 

@@ -173,6 +173,9 @@ Table summary_table(const std::vector<TrialRecord>& records,
   std::vector<std::string> header = {"trial", "seed"};
   header.insert(header.end(), param_columns.begin(), param_columns.end());
   header.insert(header.end(), metric_names.begin(), metric_names.end());
+  // A sweep in which every trial failed has no metric columns; give the
+  // failure messages one.
+  if (metric_names.empty()) header.push_back("result");
   Table table(header);
 
   for (const TrialRecord& record : records) {
@@ -182,17 +185,21 @@ Table summary_table(const std::vector<TrialRecord>& records,
       const auto v = find_param(record.spec.params, key);
       row.push_back(std::string(v.value_or("-")));
     }
+    if (!record.ok) {
+      // The message takes the first metric cell; the rest are padded.
+      row.push_back("FAILED: " + record.error);
+      row.resize(header.size(), "-");
+      table.add_row(std::move(row));
+      continue;
+    }
     for (const std::string& name : metric_names) {
-      if (!record.ok) {
-        row.push_back("FAILED: " + record.error);
-        break;
-      }
       const auto v = record.result.find_metric(name);
       char buf[40];
       if (v)
         std::snprintf(buf, sizeof buf, "%.6g", *v);
       row.push_back(v ? buf : "-");
     }
+    if (metric_names.empty()) row.push_back("ok");
     table.add_row(std::move(row));
   }
   return table;

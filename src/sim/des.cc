@@ -36,26 +36,38 @@ void Scheduler::set_hub(obs::Hub* hub) {
   dispatched_ = group.counter("dispatched");
 }
 
-ProcessHandle Scheduler::spawn(Process process, Cycles start) {
+ProcessHandle Scheduler::adopt(Process process) {
   MEECC_CHECK(process.handle_);
   auto handle = process.handle_;
   process.handle_ = nullptr;  // ownership moves to the scheduler
   handle.promise().scheduler = this;
   handle.promise().owned_index = owned_.size();
   owned_.push_back(handle);
-  spawned_.inc();
-  enqueue(handle, start);
   return ProcessHandle{handle};
 }
 
-bool Scheduler::cancel(ProcessHandle handle) {
+ProcessHandle Scheduler::spawn(Process process, Cycles start) {
+  const ProcessHandle handle = adopt(std::move(process));
+  spawned_.inc();
+  enqueue(handle.handle_, start);
+  return handle;
+}
+
+ProcessHandle Scheduler::rearm(Process process, Cycles when) {
+  const ProcessHandle handle = adopt(std::move(process));
+  buckets_[bucket_for(std::max(when, now_))].ready.push_back(handle.handle_);
+  ++pending_;
+  return handle;
+}
+
+std::optional<CancelledEvent> Scheduler::cancel(ProcessHandle handle) {
   const auto target = handle.handle_;
-  if (!target) return false;
+  if (!target) return std::nullopt;
   // Staleness check by address only — a stale handle's frame is destroyed,
   // so its promise must not be read. O(live agents), which is tiny (the
-  // only cancel site is the environment-agent quiesce).
+  // only cancel sites park the environment agents).
   const auto it = std::find(owned_.begin(), owned_.end(), target);
-  if (it == owned_.end()) return false;
+  if (it == owned_.end()) return std::nullopt;
   const auto index = static_cast<std::size_t>(it - owned_.begin());
   for (const auto finished : finished_)
     MEECC_CHECK_MSG(finished != target, "cancel of an agent mid-completion");
@@ -64,16 +76,21 @@ bool Scheduler::cancel(ProcessHandle handle) {
   // new sequence numbers are consumed. In the draining epoch only the
   // not-yet-dispatched tail is pending — entries before epoch_pos_ already
   // ran (and may reference destroyed frames, so they must not be compared).
+  std::optional<CancelledEvent> dropped;
+  std::size_t dropped_count = 0;
   for (std::uint32_t slot = 0; slot < buckets_.size(); ++slot) {
     TimeBucket& bucket = buckets_[slot];
     if (!bucket.live) continue;
     const bool is_epoch = epoch_active_ && slot == epoch_slot_;
     std::size_t out = is_epoch ? epoch_pos_ : 0;
     for (std::size_t i = out; i < bucket.ready.size(); ++i) {
-      if (bucket.ready[i].address() != target.address())
+      if (bucket.ready[i].address() != target.address()) {
         bucket.ready[out++] = bucket.ready[i];
-      else
+      } else {
         --pending_;
+        ++dropped_count;
+        dropped = CancelledEvent{bucket.when, bucket.seq, out};
+      }
     }
     bucket.ready.resize(out);
     // An emptied non-epoch bucket is recycled here; its timestamp stays in
@@ -86,11 +103,14 @@ bool Scheduler::cancel(ProcessHandle handle) {
       free_buckets_.push_back(slot);
     }
   }
+  MEECC_CHECK_MSG(dropped_count == 1,
+                  "cancel needs an agent parked on exactly one event, found "
+                      << dropped_count);
   owned_[index] = owned_.back();
   owned_[index].promise().owned_index = index;
   owned_.pop_back();
   target.destroy();
-  return true;
+  return dropped;
 }
 
 void Scheduler::restore_clock(Cycles now, std::uint64_t seq) {

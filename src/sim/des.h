@@ -188,6 +188,19 @@ class [[nodiscard]] Task<void> {
   std::coroutine_handle<promise_type> handle_;
 };
 
+/// The pending event of an agent removed by Scheduler::cancel(): its time,
+/// and where it sat among the events due at that time — the creation seq
+/// of its bucket, then its position in the bucket. Events at equal `when`
+/// dispatch in (bucket_seq, position) order. A position is read after the
+/// events cancelled before it were removed, so comparing two agents
+/// cancelled one after the other ranks them correctly when ties on
+/// (when, bucket_seq, position) go to the one cancelled first.
+struct CancelledEvent {
+  Cycles when = 0;
+  std::uint64_t bucket_seq = 0;
+  std::size_t position = 0;
+};
+
 /// Opaque reference to a spawned top-level agent, returned by spawn() and
 /// accepted by cancel(). Becomes stale once the agent finishes or is
 /// cancelled; cancel() detects staleness (by address, so a recycled frame
@@ -216,14 +229,23 @@ class Scheduler {
   /// `start`; the returned handle can cancel the agent later.
   ProcessHandle spawn(Process process, Cycles start = 0);
 
-  /// Destroys a live agent and removes its pending events from the queue
+  /// Destroys a live agent and removes its pending event from the queue
   /// (remaining events keep their sequence numbers, so sibling ordering is
-  /// unchanged and no new sequence numbers are consumed). Returns false for
-  /// a stale handle (agent already finished or cancelled). Only safe for
-  /// agents parked in the scheduler itself — i.e. not mid-await inside a
-  /// child Task — which holds for every agent suspended on a memory-op or
-  /// sleep awaitable at its top level.
-  bool cancel(ProcessHandle handle);
+  /// unchanged and no new sequence numbers are consumed), reporting where
+  /// that event was. Returns nullopt for a stale handle (agent already
+  /// finished or cancelled). Only legal for agents parked in the scheduler
+  /// itself — i.e. not mid-await inside a child Task — which holds for
+  /// every agent suspended on a memory-op or sleep awaitable at its top
+  /// level; such an agent has exactly one pending event.
+  std::optional<CancelledEvent> cancel(ProcessHandle handle);
+
+  /// Takes ownership of `process` like spawn(), but as the continuation of
+  /// an agent whose pending event at `when` was already counted and
+  /// sequenced elsewhere (a snapshot's donor): counts neither des.spawned
+  /// nor des.scheduled and consumes no sequence number. Re-arming a
+  /// snapshot's agents in their dispatch order, before anything else is
+  /// queued, reproduces the donor's queue order exactly.
+  ProcessHandle rearm(Process process, Cycles when);
 
   /// Re-arms `handle` (any simulation coroutine) to resume once `when`
   /// becomes the global minimum. Called by awaitables, not user code.
@@ -282,6 +304,9 @@ class Scheduler {
 
  private:
   friend struct Process::promise_type::FinalNotify;
+
+  /// Ownership half of spawn()/rearm(): registers the coroutine as owned.
+  ProcessHandle adopt(Process process);
 
   /// All events pending at one timestamp, in enqueue order. seq_ increments
   /// monotonically per enqueue, so append order IS sequence order — the

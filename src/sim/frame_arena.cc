@@ -5,8 +5,6 @@
 
 namespace meecc::sim {
 
-thread_local FrameArena* FrameArena::ambient_ = nullptr;
-
 FrameArena::~FrameArena() {
   for (void* chunk : chunks_) ::operator delete(chunk);
 }

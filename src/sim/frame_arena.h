@@ -80,7 +80,10 @@ class FrameArena {
   void* allocate(std::size_t total);
   void recycle(Header* header) noexcept;
 
-  static thread_local FrameArena* ambient_;
+  /// Defined here, constant-initialized: every translation unit then
+  /// addresses it directly instead of through a TLS init wrapper, which
+  /// UBSan (GCC 12) misreads as a store through a null pointer.
+  static inline constinit thread_local FrameArena* ambient_ = nullptr;
 
   std::vector<void*> chunks_;
   std::size_t active_chunk_ = 0;  // index into chunks_ being bumped

@@ -74,7 +74,7 @@ obs::Registry::State decode_counters(io::Reader& r) {
 }
 
 void encode_mee(io::Writer& w, System& shape, const mee::MeeEngine::State& mee) {
-  mee.cache.encode_state(w);
+  cache::encode_cache_image(w, *mee.cache);
   w.u64(mee.root_counters.size());
   for (const std::uint64_t counter : mee.root_counters) w.u64(counter);
   encode_rng(w, mee.rng);
@@ -90,10 +90,10 @@ void encode_mee(io::Writer& w, System& shape, const mee::MeeEngine::State& mee) 
 }
 
 mee::MeeEngine::State decode_mee(io::Reader& r, System& shape) {
-  // Start from the shape's own export: the cache value inside carries the
-  // right geometry/policy construction for decode_state to overwrite.
+  // Start from the shape's own export, which carries the pad-cache shapes
+  // decode_state overwrites.
   mee::MeeEngine::State state = shape.mee().export_state();
-  state.cache.decode_state(r);
+  state.cache = shape.mee().cache().decode_image(r);
   const std::uint64_t roots = r.u64();
   if (roots != state.root_counters.size())
     throw io::DecodeError("root counter count mismatch");
@@ -115,13 +115,12 @@ void encode_snapshot(io::Writer& w, System& shape,
   encode_memory(w, snap.memory);
   encode_rng(w, snap.dram.rng);
   w.u64(snap.dram.accesses);
-  const auto encode_caches = [&w](const std::vector<cache::SetAssocCache>& v) {
-    w.u64(v.size());
-    for (const auto& c : v) c.encode_state(w);
-  };
-  encode_caches(snap.hierarchy.l1);
-  encode_caches(snap.hierarchy.l2);
-  encode_caches(snap.hierarchy.llc);
+  w.u64(snap.hierarchy.l1.size());
+  for (std::size_t c = 0; c < snap.hierarchy.l1.size(); ++c) {
+    cache::encode_cache_image(w, *snap.hierarchy.l1[c]);
+    cache::encode_cache_image(w, *snap.hierarchy.l2[c]);
+  }
+  cache::encode_cache_image(w, *snap.hierarchy.llc);
   encode_mee(w, shape, snap.mee);
   snap.peek_pads.encode_state(w);
   w.u64(snap.epc_cursor);
@@ -137,14 +136,14 @@ SystemSnapshot decode_snapshot(io::Reader& r, System& shape) {
   snap.memory = decode_memory(r);
   snap.dram.rng = decode_rng(r);
   snap.dram.accesses = r.u64();
-  const auto decode_caches = [&r](std::vector<cache::SetAssocCache>& v) {
-    if (r.u64() != v.size())
-      throw io::DecodeError("cache level count mismatch");
-    for (auto& c : v) c.decode_state(r);
-  };
-  decode_caches(snap.hierarchy.l1);
-  decode_caches(snap.hierarchy.l2);
-  decode_caches(snap.hierarchy.llc);
+  const cache::Hierarchy& caches = shape.hierarchy();
+  if (r.u64() != caches.core_count())
+    throw io::DecodeError("cache level count mismatch");
+  for (unsigned c = 0; c < caches.core_count(); ++c) {
+    snap.hierarchy.l1[c] = caches.l1(CoreId{c}).decode_image(r);
+    snap.hierarchy.l2[c] = caches.l2(CoreId{c}).decode_image(r);
+  }
+  snap.hierarchy.llc = caches.llc().decode_image(r);
   snap.mee = decode_mee(r, shape);
   snap.peek_pads.decode_state(r);
   snap.epc_cursor = static_cast<std::size_t>(r.u64());

@@ -1,13 +1,13 @@
 // Snapshot wire format: canonical byte serialization of SystemSnapshot.
 //
-// A SystemSnapshot holds value copies of every mutable component (PR 5/6),
-// but some of those values cannot be default-constructed — a SetAssocCache
-// needs its geometry and policy stack, the MAC pad state is type-erased
-// behind MacScheme. So both directions borrow a "shape" System built from
-// the identical config: encode reads the snapshot's payload through the
-// shape's component types, and decode starts from shape.snapshot() (every
-// component correctly constructed) and overwrites the mutable payload in
-// place via the per-component encode_state/decode_state hooks.
+// A SystemSnapshot holds values some of which cannot be rebuilt from bytes
+// alone — a cache image decodes against its cache's geometry and policy
+// stack, the MAC pad state is type-erased behind MacScheme. So both
+// directions borrow a "shape" System built from the identical config:
+// encode reads the snapshot's payload through the shape's component types,
+// and decode starts from shape.snapshot() (every component correctly
+// constructed) and overwrites the mutable payload via the per-component
+// hooks (SetAssocCache::decode_image, encode_state/decode_state).
 //
 // Canonical means byte-identical across hosts and runs for equal state:
 // hash-map contents (DRAM image) are sorted before writing, doubles ride as
@@ -33,7 +33,7 @@ namespace meecc::sim {
 
 /// "MEECSNAP" — identifies a framed standalone snapshot file.
 inline constexpr std::uint64_t kSnapshotMagic = 0x4d45454353'4e4150ULL;
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Appends the canonical encoding of `snap` to `w`. `shape` must be built
 /// from the donor's config; its MAC pad cache is used as scratch.

@@ -10,9 +10,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "channel/covert_channel.h"
 #include "channel/testbed.h"
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "obs/scope.h"
 #include "runtime/experiments.h"
 #include "runtime/params.h"
 #include "runtime/registry.h"
@@ -224,6 +226,32 @@ TEST(Sink, JsonLineShape) {
             "\"ok\":false,\"error\":\"boom\\n\"}");
 }
 
+// A sweep in which some trials failed still renders: a failed row carries
+// its message in the first metric cell and is padded to the header, and a
+// sweep with no successful trial gets a column for the messages.
+TEST(Sink, SummaryTablePadsFailedRows) {
+  TrialRecord ok;
+  ok.spec.trial_index = 0;
+  ok.spec.params = {{"window", "5000"}};
+  ok.ok = true;
+  ok.result.metric("kbps", 35.0);
+  ok.result.metric("error_rate", 0.01);
+  TrialRecord failed;
+  failed.spec.trial_index = 1;
+  failed.spec.params = {{"window", "7500"}};
+  failed.error = "spy found no monitor address";
+
+  const std::string mixed =
+      summary_table({ok, failed, ok}, {"window"}).to_text();
+  EXPECT_NE(mixed.find("FAILED: spy found no monitor address"),
+            std::string::npos);
+  EXPECT_NE(mixed.find("kbps"), std::string::npos);
+  const std::string all_failed =
+      summary_table({failed, failed}, {"window"}).to_text();
+  EXPECT_NE(all_failed.find("FAILED: spy found no monitor address"),
+            std::string::npos);
+}
+
 TEST(Runner, SyntheticDeterminismAcrossJobCounts) {
   const Experiment e = synthetic("runtime_test_runner");
   SweepSpec spec;
@@ -299,6 +327,94 @@ TEST(Runner, Fig7DeterminismAcrossJobCounts) {
   }
 }
 
+/// run_fig7 composed by hand on a fresh machine — TestBed, Algorithm 1 +
+/// monitor discovery, deferred noise, transfer — under the runner's own
+/// ambient scope, so counters and failure text land exactly where the
+/// runner would put them. Never snapshots, never shares.
+TrialRecord fresh_fig7(const TrialSpec& spec) {
+  TrialRecord record;
+  record.spec = spec;
+  obs::TrialScope scope;
+  try {
+    channel::TestBed bed(make_testbed_config(spec));
+    channel::ChannelConfig config;
+    config.window = param_u64(spec, "window", 15000);
+    const auto payload = channel::random_bits(
+        param_u64(spec, "bits", 1500), spec.seed * 1000003ULL + spec.trial_index);
+    const channel::ChannelSetup setup =
+        channel::setup_covert_channel(bed, config);
+    bed.start_noise();
+    const channel::ChannelResult result =
+        channel::transfer_covert_channel(bed, config, payload, setup);
+    record.result.metric("kbps", result.kilobytes_per_second);
+    record.result.metric("error_rate", result.error_rate);
+    record.result.metric("bit_errors", static_cast<double>(result.bit_errors));
+    record.result.metric("monitor_found", result.monitor_found);
+    record.ok = true;
+  } catch (const std::exception& e) {
+    record.error = e.what();
+  }
+  record.counters = scope.counters();
+  return record;
+}
+
+struct RunMode {
+  unsigned jobs;
+  bool recycle;
+};
+
+/// fig7 through the runner — one Algorithm 1 per seed, forked or recycled
+/// beds — equals the hand-composed fresh path line for line, counters
+/// included, in each of `modes`.
+void expect_fig7_matches_fresh_path(const SweepSpec& spec,
+                                    std::size_t failures_expected,
+                                    const std::vector<RunMode>& modes) {
+  register_builtin_experiments();
+  const Experiment& fig7 = get_experiment("fig7_window_sweep");
+  const auto trials = expand_sweep(fig7, spec);
+  std::vector<std::string> want;
+  std::size_t failures = 0;
+  for (const TrialSpec& trial : trials) {
+    const TrialRecord record = fresh_fig7(trial);
+    if (!record.ok) ++failures;
+    want.push_back(to_json_line(record));
+  }
+  EXPECT_EQ(failures, failures_expected);
+  for (const RunMode& mode : modes) {
+    RunnerConfig config;
+    config.jobs = mode.jobs;
+    config.recycle_systems = mode.recycle;
+    SetupStats stats;
+    const auto records = run_trials(fig7, trials, config, &stats);
+    EXPECT_EQ(stats.builds, static_cast<std::uint64_t>(spec.seeds));
+    ASSERT_EQ(records.size(), want.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+      EXPECT_EQ(to_json_line(records[i]), want[i])
+          << "trial " << i << " jobs " << mode.jobs << " recycle "
+          << mode.recycle;
+  }
+}
+
+TEST(Runner, Fig7SharedSetupMatchesTheFreshPath) {
+  SweepSpec spec;
+  spec.sets = {{"bits", "16"}};
+  spec.axes = {{"window", {"5000", "15000"}}};
+  spec.base_seed = 221;
+  spec.seeds = 8;  // 221..228; seed 228 fails monitor discovery
+  expect_fig7_matches_fresh_path(
+      spec, 2, {{1, true}, {1, false}, {4, true}, {4, false}});
+}
+
+// Stride-walker noise running through Algorithm 1 and captured live.
+TEST(Runner, Fig7SharedSetupMatchesTheFreshPathUnderMeeNoise) {
+  SweepSpec spec;
+  spec.sets = {{"bits", "16"}, {"noise", "mee512"}};
+  spec.axes = {{"window", {"5000", "15000"}}};
+  spec.base_seed = 11;  // a seed whose setup succeeds under this noise
+  spec.seeds = 1;
+  expect_fig7_matches_fresh_path(spec, 0, {{1, true}, {4, false}});
+}
+
 // SetupStats must say how each warm state was resolved — built, found in
 // this process's memory tier, or loaded from the on-disk store — because
 // the campaign CI leg asserts on exactly these counters.
@@ -353,7 +469,7 @@ TEST(Runner, SetupStatsDistinguishMemoryDiskAndBuild) {
   EXPECT_EQ(built.load(), 2);
 
   // Cold store: still two builds, but they are written back...
-  SetupStore store(dir.string(), setup_store_config_hash(e.name));
+  SetupStore store(dir.string(), e.name);
   RunnerConfig with_store;
   with_store.jobs = 2;
   with_store.setup_store = &store;

@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cache/set_assoc_cache.h"
 #include "channel/covert_channel.h"
 #include "channel/testbed.h"
 #include "common/bytes.h"
@@ -186,12 +187,12 @@ std::vector<std::string> to_jsonl(const std::vector<obs::TraceEvent>& events) {
 }
 
 struct EncodedWarmBed {
-  std::string bytes;                   ///< wire form of the quiesced bed
+  std::string bytes;                   ///< wire form of the bed after setup
   channel::ChannelSetup setup;         ///< discovered channel artifacts
   channel::TestBedSnapshot snapshot;   ///< in-memory reference
 };
 
-/// Quickstart-style donor at the golden seed: full channel setup, quiesce,
+/// Quickstart-style donor at the golden seed: full channel setup, live
 /// snapshot, encode. Runs under a detached scope so the setup phase cannot
 /// perturb the measured forks.
 EncodedWarmBed encode_warm_bed(const channel::TestBedConfig& config) {
@@ -199,7 +200,6 @@ EncodedWarmBed encode_warm_bed(const channel::TestBedConfig& config) {
   channel::TestBed bed(config);
   channel::ChannelSetup setup =
       channel::setup_covert_channel(bed, channel::ChannelConfig{});
-  bed.quiesce_environment();
   channel::TestBedSnapshot snap = bed.snapshot();
   io::Writer w;
   sim::System shape(config.system);
@@ -322,6 +322,47 @@ TEST(DecoderCounts, InflatedCountsInABedSnapshotThrowDecodeError) {
             donor.snapshot.actors[0].vas.sorted_pages().size());
   overwrite_u64(pages, page_count_at, kInflatedCount);
   EXPECT_THROW(decode(pages), io::DecodeError);
+
+  // The first cache image (core 0's L1) follows the DRAM image, the DRAM
+  // RNG and access count, and the core count; its row count follows a
+  // one-byte key flag.
+  io::Writer dram_rng;
+  encode_rng(dram_rng, donor.snapshot.system.dram.rng);
+  const std::size_t rows_at = 8 + donor.snapshot.system.memory->size() * 72 +
+                              dram_rng.size() + 8 + 8 + 1;
+  ASSERT_EQ(u64_at(rows_at), donor.snapshot.system.hierarchy.l1[0]->rows.size());
+  std::string rows = donor.bytes;
+  overwrite_u64(rows, rows_at, kInflatedCount);
+  EXPECT_THROW(decode(rows), io::DecodeError);
+}
+
+// A row count that fits the remaining bytes but exceeds the cache's set
+// count is rejected too, as are unsorted rows.
+TEST(DecoderCounts, CacheImageRowsBeyondTheGeometryThrowDecodeError) {
+  const cache::Geometry geometry{.size_bytes = 4 * 2 * 64, .ways = 2};  // 4 sets
+  cache::SetAssocCache donor(geometry, cache::ReplacementKind::kTreePlru,
+                             Rng(1));
+  for (std::uint64_t line = 0; line < 8; ++line) donor.access(PhysAddr{line * 64});
+  const cache::CacheImagePtr image = donor.capture();
+  ASSERT_EQ(image->rows.size(), 4u);
+  io::Writer w;
+  cache::encode_cache_image(w, *image);
+  const std::string bytes = w.take();
+  const auto decode = [&](const std::string& b) {
+    io::Reader r(b);
+    (void)donor.decode_image(r);
+  };
+  decode(bytes);  // the untouched encoding decodes
+
+  std::string inflated = bytes;
+  overwrite_u64(inflated, 1, 5);  // after the key flag; 5 > 4 sets
+  EXPECT_THROW(decode(inflated), io::DecodeError);
+  overwrite_u64(inflated, 1, kInflatedCount);
+  EXPECT_THROW(decode(inflated), io::DecodeError);
+
+  std::string unsorted = bytes;
+  unsorted[1 + 8] = 3;  // first row claims set 3, ahead of set 1
+  EXPECT_THROW(decode(unsorted), io::DecodeError);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -58,9 +59,8 @@ void plant(const SetupStore& store, const std::string& key,
 
 TEST(StoreFault, EachCorruptionModeReportsItsDistinctStatus) {
   ScratchDir dir("store_status");
-  const std::uint64_t config_hash =
-      runtime::setup_store_config_hash("fault-exp");
-  const SetupStore store(dir.str(), config_hash);
+  const SetupStore store(dir.str(), "fault-exp");
+  const std::uint64_t config_hash = store.config_hash();
   const std::string key = "fault-exp|seed=7";
 
   std::set<SetupStore::Lookup> seen;
@@ -87,7 +87,7 @@ TEST(StoreFault, EachCorruptionModeReportsItsDistinctStatus) {
 
 TEST(StoreFault, StoreWritesAtomicallyAndRoundTrips) {
   ScratchDir dir("store_roundtrip");
-  const SetupStore store(dir.str(), 42);
+  const SetupStore store(dir.str(), "roundtrip-exp");
   ASSERT_TRUE(store.store("key-a", "payload-one"));
   const SetupStore::LoadResult first = store.load("key-a");
   ASSERT_EQ(first.status, SetupStore::Lookup::kHit);
@@ -108,9 +108,8 @@ TEST(StoreFault, StoreWritesAtomicallyAndRoundTrips) {
 // entry must be used without running the builder.
 TEST(StoreFault, CacheFallsBackToFreshBuildOnEveryCorruption) {
   ScratchDir dir("store_fallback");
-  const std::uint64_t config_hash =
-      runtime::setup_store_config_hash("fault-exp");
-  SetupStore store(dir.str(), config_hash);
+  SetupStore store(dir.str(), "fault-exp");
+  const std::uint64_t config_hash = store.config_hash();
   const std::string key = "fault-exp|seed=7";
 
   const auto encoder = [](const void* state) {
@@ -167,14 +166,73 @@ TEST(StoreFault, CacheFallsBackToFreshBuildOnEveryCorruption) {
   }
 }
 
+// An entry written under another snapshot format version lives at the
+// same path (the address leaves the version out): it is reported as a
+// config mismatch, rebuilt and overwritten in place, so the directory does
+// not grow. Two experiments sharing the directory and a setup key still
+// get a file each.
+TEST(StoreFault, StaleFormatEntryIsRewrittenInPlace) {
+  ScratchDir dir("store_stale");
+  const std::string key = "shared|seed=3";
+  SetupStore store(dir.str(), "exp-a");
+  // The address is the key hashed with the experiment name alone — no
+  // format version — so an older build wrote this key to the same path.
+  char name[32];
+  std::snprintf(name, sizeof(name), "%016llx.setup",
+                static_cast<unsigned long long>(
+                    io::fnv1a64(key, io::fnv1a64("exp-a"))));
+  EXPECT_EQ(fs::path(store.path_for(key)).filename().string(), name);
+  // What an older build left there: a valid frame under another config
+  // hash (the hash folds in the snapshot format version).
+  for (const auto& fixture :
+       testing::setup_store_fixtures(store.config_hash(), key, "old bytes"))
+    if (fixture.expected == SetupStore::Lookup::kConfigMismatch)
+      plant(store, key, fixture.bytes);
+  const auto file_count = [&dir] {
+    std::size_t n = 0;
+    for (const auto& entry : fs::directory_iterator(dir.path())) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  ASSERT_EQ(file_count(), 1u);
+
+  runtime::SetupCache cache;
+  cache.attach_store(&store);
+  int builds = 0;
+  (void)cache.get_or_build(
+      key,
+      [&]() -> std::shared_ptr<const void> {
+        ++builds;
+        return std::make_shared<std::uint64_t>(8);
+      },
+      [](const void* state) {
+        io::Writer w;
+        w.u64(*static_cast<const std::uint64_t*>(state));
+        return w.take();
+      },
+      [](std::string_view payload) -> std::shared_ptr<const void> {
+        io::Reader r(payload);
+        return std::make_shared<std::uint64_t>(r.u64());
+      });
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cache.disk_rejects().count(std::string(runtime::to_string(
+                SetupStore::Lookup::kConfigMismatch))),
+            1u);
+  EXPECT_EQ(file_count(), 1u);
+  EXPECT_EQ(store.load(key).status, SetupStore::Lookup::kHit);
+
+  const SetupStore other(dir.str(), "exp-b");
+  EXPECT_NE(other.path_for(key), store.path_for(key));
+}
+
 // A frame that passes every store-level check but whose payload the
 // experiment decoder rejects (written by incompatible code) is one more
 // fall-back-to-build mode, tallied as "decode-error".
 TEST(StoreFault, DecoderRejectionFallsBackToBuild) {
   ScratchDir dir("store_decode");
-  const std::uint64_t config_hash =
-      runtime::setup_store_config_hash("fault-exp");
-  SetupStore store(dir.str(), config_hash);
+  SetupStore store(dir.str(), "fault-exp");
   const std::string key = "fault-exp|seed=9";
   ASSERT_TRUE(store.store(key, ""));  // valid frame, empty payload
 
@@ -209,9 +267,7 @@ TEST(StoreFault, DecoderRejectionFallsBackToBuild) {
 // second sweep runs entirely on disk hits with identical results.
 TEST(StoreFault, RunnerSurvivesPoisonedStoreThenHealsIt) {
   ScratchDir dir("store_runner");
-  const std::uint64_t config_hash =
-      runtime::setup_store_config_hash("toy_store");
-  SetupStore store(dir.str(), config_hash);
+  SetupStore store(dir.str(), "toy_store");
 
   std::atomic<int> builds{0};
   runtime::Experiment exp;
