@@ -29,12 +29,14 @@
 #include "crypto/multilinear_mac.h"
 #include "mee/engine.h"
 #include "mem/address_map.h"
+#include "mem/page_table.h"
 #include "mem/physical_memory.h"
 #include "runtime/registry.h"
 #include "runtime/runner.h"
 #include "runtime/sink.h"
 #include "runtime/sweep.h"
 #include "sim/des.h"
+#include "sim/system.h"
 
 namespace meecc::bench {
 namespace {
@@ -733,6 +735,30 @@ int run_perf_suite(const PerfOptions& options) {
                acc += cache.contains(probe);
              }
              keep(acc);
+           }));
+  }
+
+  // --- hierarchy: the channel's access+clflush pair through System --------
+  // One protected line read (an LLC miss, since it was just flushed, so
+  // the MEE serves it from its cache) and flushed again, on the fig7
+  // machine with crypto off: the inner step of Algorithms 1 and 2.
+  {
+    sim::SystemConfig config = channel::default_testbed_config(7).system;
+    config.mee.functional_crypto = false;
+    sim::System system(config);
+    mem::VirtualAddressSpace vas;
+    const VirtAddr page{0x7000'0000'0000ULL};
+    vas.map_page(page, system.epc_allocator().allocate_frame());
+    const VirtAddr line = page + 3 * kLineSize;
+    Cycles now = 0;
+    record("hierarchy.touch_flush", ns_per_op([&](std::uint64_t iters) {
+             for (std::uint64_t i = 0; i < iters; ++i) {
+               now += system
+                          .do_read(CoreId{0}, CpuMode::kEnclave, vas, line,
+                                   now)
+                          .latency;
+               now += system.do_clflush(vas, line);
+             }
            }));
   }
 

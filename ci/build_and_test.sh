@@ -35,7 +35,8 @@ set -euo pipefail
 #             sweep --no-streaming and as a streaming plain run, cmp'ing both
 #             against the same reference bytes. Last, fig7 runs through the
 #             same store twice: the rerun must build nothing and both runs
-#             must match a --no-reuse-setup reference.
+#             must match a --no-reuse-setup reference. Then two fig7 seeds
+#             whose first monitor discovery fails must set up anyway.
 #   tsan      -DMEECC_SANITIZE=thread build; runs the parallel suites that
 #             hammer the lock-free MPSC queue, the committer pipeline, and
 #             the atomic bed-pool stats, so every data race on the per-trial
@@ -217,6 +218,15 @@ elif [ "$STAGE" = "shard" ]; then
   esac
   cmp "$DIR/fig7-reference.jsonl" "$DIR/fig7-from-store.jsonl"
   echo "fig7 from the setup store reproduces the fresh path byte for byte"
+
+  echo "--- fig7 seeds whose first monitor discovery fails still set up ---"
+  # Algorithm 1 validates a set the spy never sees on these seeds; the
+  # setup's one retry must recover them, or the sweep exits 1.
+  for SEED in 228 355062; do
+    "$BENCH" run fig7_window_sweep --set bits=64 --seed "$SEED" --seeds 1 \
+      --quiet --json "$DIR/fig7-seed-$SEED.jsonl" > /dev/null
+  done
+  echo "fig7 seeds 228 and 355062 set up and transfer"
 
   rm -rf "$CAMPAIGN"  # keep manifests out of the artifact upload on success
   echo "CI OK (shard)"

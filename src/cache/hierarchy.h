@@ -4,6 +4,13 @@
 // line from every private cache too, guaranteeing the next access reaches
 // DRAM — and, for protected addresses, the MEE. The MEE cache is NOT part of
 // this hierarchy and is untouched by clflush (paper §3 challenge 1).
+//
+// Inclusion also makes the hierarchy cheap to probe: the LLC keeps a
+// core-valid byte per way (SetAssocCache::track_sharers), so an access
+// looks at a core's L1/L2 only when the LLC holds the line and that core
+// may hold it too, and clflush / back-invalidation visit only the cores
+// whose bit is set. The outcome — hit levels, latencies, every cache's
+// state and statistics — is that of probing every level of every core.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +53,9 @@ class Hierarchy {
  public:
   /// `hub` (optional, borrowed) receives per-level hit/miss/eviction
   /// counters under cache.l1 / cache.l2 / cache.llc and eviction trace
-  /// events; it must outlive the hierarchy.
+  /// events; it must outlive the hierarchy. At most 8 cores (one
+  /// core-valid bit each), and the LLC fill policy must admit every miss,
+  /// or the LLC would stop covering the private caches.
   Hierarchy(const HierarchyConfig& config, unsigned core_count, Rng rng,
             obs::Hub* hub = nullptr);
 
@@ -87,12 +96,14 @@ class Hierarchy {
   void import_state(const State& state);
 
  private:
-  void back_invalidate(PhysAddr addr);
+  /// Invalidates `addr` in the private caches of the cores in `cores`.
+  void back_invalidate(PhysAddr addr, std::uint8_t cores);
 
   HierarchyConfig config_;
   std::vector<std::unique_ptr<SetAssocCache>> l1_;
   std::vector<std::unique_ptr<SetAssocCache>> l2_;
   std::unique_ptr<SetAssocCache> llc_;
+  std::uint8_t all_cores_ = 0;  ///< one bit per core
 
   obs::Hub* hub_ = nullptr;
   struct LevelCounters {

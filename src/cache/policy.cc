@@ -105,7 +105,9 @@ class SkewedIndexing final : public IndexingPolicy {
 class AllWaysFill final : public FillPolicy {
  public:
   std::string_view name() const override { return "all"; }
-  bool passthrough() const override { return true; }};
+  bool passthrough() const override { return true; }
+  bool admits_every_miss() const override { return true; }
+};
 
 /// Way partitioning by requesting core (CATalyst-style, §5.5): even cores
 /// may only claim the low half of the ways, odd cores the high half.
@@ -119,6 +121,7 @@ class PartitionFill final : public FillPolicy {
   WayMask allowed_ways(CoreId requester) const override {
     return way_partition_mask(ways_, requester);
   }
+  bool admits_every_miss() const override { return true; }
 
  private:
   std::uint32_t ways_;

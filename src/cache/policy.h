@@ -118,6 +118,11 @@ class FillPolicy {
   /// requester (the default "all" policy). Lets the cache's fill path skip
   /// both virtual calls per miss.
   virtual bool passthrough() const { return false; }
+
+  /// True when admits() never declines a miss, whatever the requester and
+  /// RNG. An inclusive level needs it: a declined fill would leave lines in
+  /// the private caches that it does not hold.
+  virtual bool admits_every_miss() const { return false; }
 };
 
 /// The way-partition mask the "partition" fill policy hands out: even cores

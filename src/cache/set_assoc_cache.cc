@@ -155,6 +155,10 @@ bool SetAssocCache::contains(PhysAddr addr) const {
   return find_slot(line_index_of(addr)).has_value();
 }
 
+std::optional<SetAssocCache::Slot> SetAssocCache::peek(PhysAddr addr) const {
+  return find_slot(line_index_of(addr));
+}
+
 bool SetAssocCache::lookup(PhysAddr addr) {
   const auto slot = find_slot(line_index_of(addr));
   if (!slot) {
@@ -165,6 +169,24 @@ bool SetAssocCache::lookup(PhysAddr addr) {
   policy_touch(slot->set, slot->way);
   mark_dirty(slot->set);
   return true;
+}
+
+void SetAssocCache::hit_at(Slot slot, CoreId requester) {
+  ++stats_.hits;
+  policy_touch(slot.set, slot.way);
+  mark_dirty(slot.set);
+  if (sharers_)
+    sharers_[slot.set * geometry_.ways + slot.way] |=
+        static_cast<std::uint8_t>(1u << requester.value);
+}
+
+void SetAssocCache::track_sharers() {
+  sharers_ = std::make_unique_for_overwrite<std::uint8_t[]>(tags_.size());
+  // Lines already resident may sit in any core's private caches.
+  for (std::uint64_t s = 0; s < valid_.size(); ++s)
+    for (std::uint64_t occupied = valid_[s]; occupied != 0;
+         occupied &= occupied - 1)
+      sharers_[s * geometry_.ways + std::countr_zero(occupied)] = 0xFF;
 }
 
 SetAssocCache::Slot SetAssocCache::pick_victim(std::uint64_t line,
@@ -221,18 +243,19 @@ SetAssocCache::Slot SetAssocCache::pick_victim(std::uint64_t line,
 
 std::optional<PhysAddr> SetAssocCache::fill(PhysAddr addr, WayMask allowed,
                                             CoreId requester) {
-  return fill_impl(addr, allowed, requester, /*check_resident=*/true);
+  return fill_impl(addr, allowed, requester, /*check_resident=*/true, nullptr);
 }
 
-std::optional<PhysAddr> SetAssocCache::fill_after_miss(PhysAddr addr,
-                                                       WayMask allowed,
-                                                       CoreId requester) {
-  return fill_impl(addr, allowed, requester, /*check_resident=*/false);
+std::optional<PhysAddr> SetAssocCache::fill_after_miss(
+    PhysAddr addr, WayMask allowed, CoreId requester,
+    std::uint8_t* evicted_sharers) {
+  return fill_impl(addr, allowed, requester, /*check_resident=*/false,
+                   evicted_sharers);
 }
 
-std::optional<PhysAddr> SetAssocCache::fill_impl(PhysAddr addr, WayMask allowed,
-                                                 CoreId requester,
-                                                 bool check_resident) {
+std::optional<PhysAddr> SetAssocCache::fill_impl(
+    PhysAddr addr, WayMask allowed, CoreId requester, bool check_resident,
+    std::uint8_t* evicted_sharers) {
   if (!fill_passthrough_) allowed &= fill_->allowed_ways(requester);
   MEECC_CHECK_MSG(allowed != 0, "fill with empty way mask");
   const auto line = line_index_of(addr);
@@ -241,6 +264,9 @@ std::optional<PhysAddr> SetAssocCache::fill_impl(PhysAddr addr, WayMask allowed,
     if (const auto slot = find_slot(line)) {
       policy_touch(slot->set, slot->way);  // already resident: refresh
       mark_dirty(slot->set);
+      if (sharers_)
+        sharers_[slot->set * geometry_.ways + slot->way] |=
+            static_cast<std::uint8_t>(1u << requester.value);
       return std::nullopt;
     }
   }
@@ -261,6 +287,11 @@ std::optional<PhysAddr> SetAssocCache::fill_impl(PhysAddr addr, WayMask allowed,
     ++set_evictions_[victim.set];
     evicted = PhysAddr{victim_tag * geometry_.line_size};
   }
+  if (sharers_) {
+    std::uint8_t& sharers = sharers_[victim.set * geometry_.ways + victim.way];
+    if (evicted && evicted_sharers != nullptr) *evicted_sharers = sharers;
+    sharers = static_cast<std::uint8_t>(1u << requester.value);
+  }
   victim_tag = line;
   valid_[victim.set] |= way_bit;
   policy_touch(victim.set, victim.way);
@@ -277,12 +308,16 @@ bool SetAssocCache::access(PhysAddr addr, WayMask allowed, CoreId requester) {
 bool SetAssocCache::invalidate(PhysAddr addr) {
   const auto slot = find_slot(line_index_of(addr));
   if (!slot) return false;
-  tag_at(slot->set, slot->way) = kInvalidLine;
-  valid_[slot->set] &= ~(std::uint64_t{1} << slot->way);
-  policy_invalidate(slot->set, slot->way);
-  mark_dirty(slot->set);
-  ++stats_.invalidations;
+  invalidate_at(*slot);
   return true;
+}
+
+void SetAssocCache::invalidate_at(Slot slot) {
+  tag_at(slot.set, slot.way) = kInvalidLine;
+  valid_[slot.set] &= ~(std::uint64_t{1} << slot.way);
+  policy_invalidate(slot.set, slot.way);
+  mark_dirty(slot.set);
+  ++stats_.invalidations;
 }
 
 void SetAssocCache::flush_all() {
@@ -366,9 +401,16 @@ void SetAssocCache::write_row(const CacheImage& image, std::size_t index) {
   clear_row(row.set);
   std::uint64_t* tags = tags_.data() + std::uint64_t{row.set} * geometry_.ways;
   const std::uint64_t* from = image.tags.data() + row.tag_offset;
+  std::uint8_t* sharers =
+      sharers_ ? sharers_.get() + std::uint64_t{row.set} * geometry_.ways
+               : nullptr;
   for (std::uint64_t occupied = row.valid; occupied != 0;
-       occupied &= occupied - 1)
-    tags[std::countr_zero(occupied)] = *from++;
+       occupied &= occupied - 1) {
+    const int way = std::countr_zero(occupied);
+    tags[way] = *from++;
+    // Images carry no core-valid bits: any core may hold a restored line.
+    if (sharers) sharers[way] = 0xFF;
+  }
   valid_[row.set] = row.valid;
   if (flat_plru_) plru_[row.set] = row.plru;
   set_evictions_[row.set] = row.evictions;

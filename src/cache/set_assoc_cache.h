@@ -17,6 +17,8 @@
 //   PLRU plane  plru_[set], the set's tree-PLRU direction bits packed into
 //               one word, so touch/invalidate are two precomputed masks and
 //               victim selection walks a register instead of chasing bytes
+// plus, on a cache that tracks sharers (the inclusive LLC), a fourth plane
+// of one core-valid byte per way (track_sharers()).
 #pragma once
 
 #include <cstdint>
@@ -92,8 +94,43 @@ class SetAssocCache {
   SetAssocCache(SetAssocCache&&) = default;
   SetAssocCache& operator=(SetAssocCache&&) = default;
 
+  /// Where a resident line sits.
+  struct Slot {
+    std::uint64_t set = 0;
+    std::uint32_t way = 0;
+  };
+
   /// Probe without side effects: is the line resident?
   bool contains(PhysAddr addr) const;
+
+  /// contains() that also says where the line sits.
+  std::optional<Slot> peek(PhysAddr addr) const;
+
+  /// The hit half of lookup() for a slot peek() just returned (nothing
+  /// touched the cache in between): counts the hit, refreshes replacement
+  /// state and, when tracking sharers, adds `requester` to the slot's.
+  void hit_at(Slot slot, CoreId requester);
+
+  /// The miss half of lookup() for a line the caller already knows is
+  /// absent: counts the miss, nothing else.
+  void count_miss() { ++stats_.misses; }
+
+  /// invalidate() of a slot peek() just returned.
+  void invalidate_at(Slot slot);
+
+  /// Adds a core-valid plane: one byte per way, bit c set when core c's
+  /// private caches may hold the line. Installs set it to the requester,
+  /// hit_at() ORs the requester in and restore() sets every bit of the
+  /// ways it writes, so it is a superset of the true holders for any
+  /// requester below 8. Not part of capture() or the wire format. The
+  /// plane is allocated uninitialized, so its pages are only committed for
+  /// the sets that are used.
+  void track_sharers();
+
+  /// Core-valid bits of a valid slot (track_sharers() caches only).
+  std::uint8_t sharers(Slot slot) const {
+    return sharers_[slot.set * geometry_.ways + slot.way];
+  }
 
   /// Lookup: on hit updates replacement state and returns true.
   /// Does NOT fill on miss (call fill()).
@@ -112,9 +149,13 @@ class SetAssocCache {
   /// returned false and nothing touched the cache since): skips the
   /// redundant residency probe that fill() runs before picking a victim.
   /// Behavior is otherwise identical to fill().
+  /// On a cache that tracks sharers, `evicted_sharers` (if given) receives
+  /// the displaced line's core-valid bits.
   std::optional<PhysAddr> fill_after_miss(PhysAddr addr,
                                           WayMask allowed = kAllWays,
-                                          CoreId requester = CoreId{0});
+                                          CoreId requester = CoreId{0},
+                                          std::uint8_t* evicted_sharers =
+                                              nullptr);
 
   /// Convenience: lookup, then fill on miss. Returns true on hit.
   bool access(PhysAddr addr, WayMask allowed = kAllWays,
@@ -175,17 +216,13 @@ class SetAssocCache {
   /// compact 8-byte-per-way row for the SIMD tag probe.
   static constexpr std::uint64_t kInvalidLine = ~std::uint64_t{0};
 
-  struct Slot {
-    std::uint64_t set = 0;
-    std::uint32_t way = 0;
-  };
-
   std::uint64_t& tag_at(std::uint64_t set, std::uint32_t way);
   std::uint64_t tag_at(std::uint64_t set, std::uint32_t way) const;
   std::optional<Slot> find_slot(std::uint64_t line) const;
   Slot pick_victim(std::uint64_t line, WayMask allowed);
   std::optional<PhysAddr> fill_impl(PhysAddr addr, WayMask allowed,
-                                    CoreId requester, bool check_resident);
+                                    CoreId requester, bool check_resident,
+                                    std::uint8_t* evicted_sharers);
 
   /// Replacement-state entry points. Tree-PLRU — the default policy on
   /// every modelled cache — lives packed in the plru_ plane and is handled
@@ -228,6 +265,9 @@ class SetAssocCache {
   std::vector<std::uint64_t> plru_point_;
   bool flat_plru_ = false;
   std::uint32_t plru_depth_ = 0;  // log2(ways)
+  /// Core-valid plane, sets * ways bytes (null unless track_sharers());
+  /// meaningful only on valid ways.
+  std::unique_ptr<std::uint8_t[]> sharers_;
   std::vector<std::uint64_t> set_evictions_;
   CacheStats stats_;
   /// log2(line_size); validate() guarantees a power-of-two line size, so

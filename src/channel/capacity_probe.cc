@@ -88,7 +88,7 @@ CapacityProbeResult run_capacity_probe(TestBed& bed,
   CapacityProbeResult result;
   bed.scheduler().spawn(capacity_probe_process(
       bed.trojan(), bed.trojan_enclave(), config, &result));
-  bed.run_until_flag(result.done);
+  bed.scheduler().run_until_flag(result.done);
   return result;
 }
 

@@ -64,6 +64,33 @@ sim::Process discovery_scan(sim::Actor& actor, std::vector<VirtAddr> candidates,
   shared->done = true;
 }
 
+/// Phase 2 — the spy discovers its monitor address against the trojan's
+/// beacon over `eviction_set`.
+DiscoveryShared discover_monitor(TestBed& bed, const ChannelConfig& config,
+                                 const std::vector<VirtAddr>& eviction_set) {
+  // Align both agents' local clocks first: Algorithm 1 advanced only the
+  // trojan's, and a lagging spy would otherwise scan "before" the beacon.
+  const Cycles phase2_start = bed.scheduler().now();
+  bed.trojan().busy_wait_until(phase2_start);
+  bed.spy().busy_wait_until(phase2_start);
+  DiscoveryShared discovery;
+  const auto spy_candidates =
+      make_candidate_set(bed.spy_enclave(), 0,
+                         bed.spy_enclave().page_count(), config.offset_unit);
+  bed.scheduler().spawn(discovery_beacon(bed.trojan(), eviction_set,
+                                         config.beacon_period, &discovery));
+  bed.scheduler().spawn(discovery_scan(bed.spy(), spy_candidates,
+                                       config.beacon_period,
+                                       config.discovery_rounds,
+                                       config.classifier_margin, &discovery));
+  bed.scheduler().run_until_flag(discovery.done);
+  // Drain the beacon before handing the trojan actor to the next phase: a
+  // mid-eviction beacon sharing the actor with the transfer sender would
+  // corrupt the shared local clock (and with it, MEE arrival times).
+  bed.scheduler().run_until_flag(discovery.beacon_exited);
+  return discovery;
+}
+
 struct TransferShared {
   Cycles t0 = 0;
   bool sender_done = false;
@@ -190,28 +217,18 @@ ChannelSetup setup_covert_channel(TestBed& bed, const ChannelConfig& config,
   MEECC_CHECK_MSG(setup.eviction.eviction_set.size() >= 2,
                   "Algorithm 1 failed to recover an eviction set");
 
-  // Phase 2 — spy discovers its monitor address against the beacon.
-  // Align both agents' local clocks first: Algorithm 1 advanced only the
-  // trojan's, and a lagging spy would otherwise scan "before" the beacon.
-  const Cycles phase2_start = bed.scheduler().now();
-  bed.trojan().busy_wait_until(phase2_start);
-  bed.spy().busy_wait_until(phase2_start);
-  DiscoveryShared discovery;
-  const auto spy_candidates =
-      make_candidate_set(bed.spy_enclave(), 0,
-                         bed.spy_enclave().page_count(), config.offset_unit);
-  bed.scheduler().spawn(discovery_beacon(bed.trojan(),
-                                         setup.eviction.eviction_set,
-                                         config.beacon_period, &discovery));
-  bed.scheduler().spawn(discovery_scan(bed.spy(), spy_candidates,
-                                       config.beacon_period,
-                                       config.discovery_rounds,
-                                       config.classifier_margin, &discovery));
-  bed.run_until_flag(discovery.done);
-  // Drain the beacon before handing the trojan actor to the next phase: a
-  // mid-eviction beacon sharing the actor with the transfer sender would
-  // corrupt the shared local clock (and with it, MEE arrival times).
-  bed.run_until_flag(discovery.beacon_exited);
+  DiscoveryShared discovery =
+      discover_monitor(bed, config, setup.eviction.eviction_set);
+  if (!discovery.found) {
+    // On rare seeds Algorithm 1 validates a set whose beacon the spy never
+    // sees (about 1 in 3,000 fig7 seeds). One more Algorithm 1 run from
+    // where the bed now stands, and one more discovery, recovers them; a
+    // seed whose first discovery succeeds never reaches this path.
+    setup.eviction = find_eviction_set(bed, ev_config);
+    MEECC_CHECK_MSG(setup.eviction.eviction_set.size() >= 2,
+                    "Algorithm 1 failed to recover an eviction set");
+    discovery = discover_monitor(bed, config, setup.eviction.eviction_set);
+  }
   setup.monitor_found = discovery.found;
   MEECC_CHECK_MSG(discovery.found, "spy found no monitor address");
   setup.monitor = discovery.monitor;
@@ -240,7 +257,7 @@ ChannelResult transfer_covert_channel(TestBed& bed, const ChannelConfig& config,
   bed.scheduler().spawn(transfer_receiver(bed.spy(), setup.monitor,
                                           payload.size(), config, &shared,
                                           &result));
-  bed.run_until_flag(shared.receiver_done);
+  bed.scheduler().run_until_flag(shared.receiver_done);
   result.transfer_cycles = bed.scheduler().now() - start;
 
   result.bit_errors = 0;

@@ -120,7 +120,7 @@ DetectorReport Detector::stop() {
   MEECC_CHECK_MSG(started_, "detector was never started");
   if (!stopped_) {
     stop_requested_ = true;
-    bed_.run_until_flag(stopped_);
+    bed_.scheduler().run_until_flag(stopped_);
   }
   return report_;
 }

@@ -146,7 +146,7 @@ EvictionSetResult find_eviction_set(TestBed& bed,
   EvictionSetResult result;
   bed.scheduler().spawn(find_eviction_set_process(
       bed.trojan(), bed.trojan_enclave(), config, &result));
-  bed.run_until_flag(result.done);
+  bed.scheduler().run_until_flag(result.done);
   return result;
 }
 

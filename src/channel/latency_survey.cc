@@ -48,7 +48,7 @@ LatencySurveyResult run_latency_survey(TestBed& bed,
   LatencySurveyResult result;
   bed.scheduler().spawn(latency_survey_process(
       bed.trojan(), bed.trojan_enclave(), config, &result));
-  bed.run_until_flag(result.done);
+  bed.scheduler().run_until_flag(result.done);
   return result;
 }
 

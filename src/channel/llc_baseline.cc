@@ -100,7 +100,7 @@ LlcChannelResult run_llc_baseline(TestBed& bed, const LlcChannelConfig& config,
       llc_sender(trojan, trojan_page, payload, config, &shared));
   bed.scheduler().spawn(llc_receiver(spy, spy_set, payload.size(), config,
                                      &shared, &result));
-  bed.run_until_flag(shared.receiver_done);
+  bed.scheduler().run_until_flag(shared.receiver_done);
 
   for (std::size_t i = 0; i < payload.size(); ++i)
     if (result.received[i] != payload[i]) ++result.bit_errors;

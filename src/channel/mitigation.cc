@@ -40,7 +40,7 @@ LegitWorkloadStats measure_legit_workload(TestBed& bed,
   bool done = false;
   bed.scheduler().spawn(legit_workload_process(
       bed.spy(), bed.spy_enclave(), reuse_bytes, samples, &stats, &done));
-  bed.run_until_flag(done);
+  bed.scheduler().run_until_flag(done);
   return stats;
 }
 

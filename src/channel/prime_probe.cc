@@ -149,7 +149,7 @@ PrimeProbeResult run_prime_probe_baseline(
     EvictionSetResult ev;
     bed.scheduler().spawn(find_eviction_set_process(
         bed.spy(), bed.spy_enclave(), ev_config, &ev));
-    bed.run_until_flag(ev.done);
+    bed.scheduler().run_until_flag(ev.done);
     result.eviction = std::move(ev);
   }
   MEECC_CHECK_MSG(result.eviction.eviction_set.size() >= 2,
@@ -170,8 +170,9 @@ PrimeProbeResult run_prime_probe_baseline(
   bed.scheduler().spawn(trojan_conflict_scan(
       bed.trojan(), trojan_candidates, config.beacon_period,
       config.discovery_rounds, 42.0, &discovery));
-  bed.run_until_flag(discovery.done);
-  bed.run_until_flag(discovery.beacon_exited);  // see covert_channel.cc
+  bed.scheduler().run_until_flag(discovery.done);
+  // Drain the beacon before the trojan moves on (see covert_channel.cc).
+  bed.scheduler().run_until_flag(discovery.beacon_exited);
   MEECC_CHECK_MSG(discovery.found, "trojan found no conflicting address");
   result.trojan_address = discovery.address;
   result.trojan_address_found = true;
@@ -184,7 +185,7 @@ PrimeProbeResult run_prime_probe_baseline(
                                   config, &shared));
   bed.scheduler().spawn(pp_receiver(bed.spy(), result.eviction.eviction_set,
                                     payload.size(), config, &shared, &result));
-  bed.run_until_flag(shared.receiver_done);
+  bed.scheduler().run_until_flag(shared.receiver_done);
 
   for (std::size_t i = 0; i < payload.size(); ++i)
     if (result.received[i] != payload[i]) ++result.bit_errors;

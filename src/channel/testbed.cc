@@ -353,14 +353,4 @@ TestBedSnapshot decode_testbed_snapshot(io::Reader& r, sim::System& shape) {
   return snap;
 }
 
-void TestBed::run_until_flag(const bool& done, Cycles max_cycles) {
-  auto& scheduler = system_->scheduler();
-  while (!done) {
-    MEECC_CHECK_MSG(scheduler.step(),
-                    "scheduler drained before the experiment finished");
-    MEECC_CHECK_MSG(scheduler.now() < max_cycles,
-                    "experiment exceeded " << max_cycles << " cycles");
-  }
-}
-
 }  // namespace meecc::channel

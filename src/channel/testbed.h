@@ -112,10 +112,6 @@ class TestBed {
   sgx::Enclave& trojan_enclave() { return *trojan_enclave_; }
   sgx::Enclave& spy_enclave() { return *spy_enclave_; }
 
-  /// Runs the scheduler until `done` becomes true. Throws CheckFailure if
-  /// the event queue drains or `max_cycles` elapse first.
-  void run_until_flag(const bool& done, Cycles max_cycles = 2'000'000'000ULL);
-
   /// Spawns the configured Fig. 8 noise agent if it is not running yet
   /// (no-op for NoiseEnv::kNone or if it auto-started).
   void start_noise();

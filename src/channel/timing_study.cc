@@ -71,13 +71,13 @@ TimingStudyResult run_timing_study(TestBed& bed,
   bed.scheduler().spawn(enclave_timer_study(bed.spy(), bed.spy_enclave(),
                                             sim::ocall_timer(), config,
                                             &result.ocall, &done));
-  bed.run_until_flag(done);
+  bed.scheduler().run_until_flag(done);
 
   done = false;
   bed.scheduler().spawn(enclave_timer_study(bed.spy(), bed.spy_enclave(),
                                             sim::shared_clock_timer(), config,
                                             &result.shared_clock, &done));
-  bed.run_until_flag(done);
+  bed.scheduler().run_until_flag(done);
 
   done = false;
   sim::Actor native_actor(bed.system(), CoreId{2}, CpuMode::kNonEnclave);
@@ -85,7 +85,7 @@ TimingStudyResult run_timing_study(TestBed& bed,
       native_actor, VirtAddr{0x5000'0000'0000ULL}, 1 << 20);
   bed.scheduler().spawn(native_timer_study(native_actor, buffer, 1 << 20,
                                            config, &result.native, &done));
-  bed.run_until_flag(done);
+  bed.scheduler().run_until_flag(done);
 
   result.done = true;
   return result;

@@ -6,9 +6,10 @@
 // candidate-set construction works around.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,11 @@
 
 namespace meecc::mem {
 
+/// The table is a few sorted runs of consecutive virtual pages, each with
+/// its frames in a flat vector: an enclave or buffer mapped page by page
+/// lands in one run, so a translation searches a handful of runs and
+/// indexes one vector, and copying a table (a bed reset) copies a few
+/// vectors.
 class VirtualAddressSpace {
  public:
   /// Maps virtual page `vaddr.page_number()` to the frame holding `frame_base`.
@@ -30,19 +36,46 @@ class VirtualAddressSpace {
   std::optional<PhysAddr> try_translate(VirtAddr addr) const;
 
   bool is_mapped(VirtAddr addr) const;
-  std::size_t mapped_pages() const { return table_.size(); }
+  std::size_t mapped_pages() const { return pages_; }
 
   /// (vpn, pfn) pairs sorted by vpn — the canonical order the snapshot wire
-  /// format needs (unordered_map iteration order is host-dependent, and
-  /// serialized bytes must be identical across hosts).
+  /// format needs.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted_pages() const;
 
-  /// Replaces the table with exported pairs (snapshot decode).
+  /// Replaces the table with exported pairs (snapshot decode). A repeated
+  /// vpn keeps its first pfn.
   void import_pages(
       const std::vector<std::pair<std::uint64_t, std::uint64_t>>& pages);
 
  private:
-  std::unordered_map<std::uint64_t, std::uint64_t> table_;  // vpn -> pfn
+  /// Virtual pages first_vpn .. first_vpn + pfns.size() - 1.
+  struct Run {
+    std::uint64_t first_vpn = 0;
+    std::vector<std::uint64_t> pfns;
+  };
+
+  /// The first run starting after `vpn`; only the one before it can hold
+  /// `vpn`.
+  std::vector<Run>::const_iterator run_after(std::uint64_t vpn) const {
+    return std::upper_bound(
+        runs_.begin(), runs_.end(), vpn,
+        [](std::uint64_t v, const Run& run) { return v < run.first_vpn; });
+  }
+
+  /// The frame of `vpn`, or null when unmapped.
+  const std::uint64_t* find(std::uint64_t vpn) const {
+    const auto next = run_after(vpn);
+    if (next == runs_.begin()) return nullptr;
+    const Run& run = *std::prev(next);
+    const std::uint64_t index = vpn - run.first_vpn;
+    return index < run.pfns.size() ? &run.pfns[index] : nullptr;
+  }
+
+  /// Maps an unmapped `vpn`, extending or joining the runs around it.
+  void insert(std::uint64_t vpn, std::uint64_t pfn);
+
+  std::vector<Run> runs_;  ///< ascending, disjoint, never adjacent
+  std::size_t pages_ = 0;
 };
 
 }  // namespace meecc::mem

@@ -18,14 +18,16 @@ namespace meecc::sim {
 class Actor;
 
 /// Awaitable performing one memory operation. Suspends so the scheduler can
-/// order it against other agents, then executes at this actor's local time.
+/// order it against other agents — or, when it is the next event anyway,
+/// runs ahead without suspending (Scheduler::try_run_ahead) — then executes
+/// at this actor's local time.
 class MemOpAwaitable {
  public:
   enum class Op { kRead, kWrite, kFlush };
 
   MemOpAwaitable(Actor& actor, Op op, VirtAddr addr, const mem::Line* data);
 
-  bool await_ready() const noexcept { return false; }
+  bool await_ready();
   void await_suspend(std::coroutine_handle<> handle);
   AccessResult await_resume();
 
@@ -88,5 +90,9 @@ class Actor {
   Cycles now_ = 0;
   Rng rng_;
 };
+
+inline bool MemOpAwaitable::await_ready() {
+  return actor_.scheduler().try_run_ahead(actor_.now());
+}
 
 }  // namespace meecc::sim

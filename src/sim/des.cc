@@ -55,6 +55,7 @@ ProcessHandle Scheduler::spawn(Process process, Cycles start) {
 
 ProcessHandle Scheduler::rearm(Process process, Cycles when) {
   const ProcessHandle handle = adopt(std::move(process));
+  if (when <= now_) epoch_more_ = true;
   buckets_[bucket_for(std::max(when, now_))].ready.push_back(handle.handle_);
   ++pending_;
   return handle;
@@ -151,6 +152,7 @@ void Scheduler::retire_epoch() {
     free_buckets_.push_back(epoch_slot_);
   epoch_active_ = false;
   epoch_pos_ = 0;
+  epoch_more_ = false;
 }
 
 std::coroutine_handle<> Scheduler::take_next(bool limited, Cycles limit) {
@@ -159,7 +161,9 @@ std::coroutine_handle<> Scheduler::take_next(bool limited, Cycles limit) {
     if (epoch_pos_ < bucket.ready.size()) {
       if (limited && bucket.when > limit) return nullptr;
       --pending_;
-      return bucket.ready[epoch_pos_++];
+      const auto handle = bucket.ready[epoch_pos_++];
+      epoch_more_ = epoch_pos_ < bucket.ready.size();
+      return handle;
     }
     // Fused rotate — the serial-simulation hot path: the drained epoch
     // retires and the on-deck bucket opens in one step, handing out its
@@ -177,6 +181,7 @@ std::coroutine_handle<> Scheduler::take_next(bool limited, Cycles limit) {
         ondeck_slot_ = kNoBucket;
         now_ = next.when;
         epoch_pos_ = 1;
+        epoch_more_ = next.ready.size() > 1;
         --pending_;
         return next.ready.front();
       }
@@ -217,6 +222,7 @@ std::coroutine_handle<> Scheduler::take_next_cold(bool limited, Cycles limit) {
   epoch_active_ = true;
   now_ = bucket.when;
   epoch_pos_ = 1;
+  epoch_more_ = bucket.ready.size() > 1;
   --pending_;
   return bucket.ready.front();
 }
@@ -250,16 +256,32 @@ void Scheduler::dispatch(std::coroutine_handle<> handle) {
   if (!finished_.empty()) reap_finished();
 }
 
+class Scheduler::RunAheadScope {
+ public:
+  RunAheadScope(Scheduler& scheduler, RunAhead ahead)
+      : scheduler_(scheduler), saved_(scheduler.ahead_) {
+    scheduler_.ahead_ = ahead;
+  }
+  ~RunAheadScope() { scheduler_.ahead_ = saved_; }
+  RunAheadScope(const RunAheadScope&) = delete;
+  RunAheadScope& operator=(const RunAheadScope&) = delete;
+
+ private:
+  Scheduler& scheduler_;
+  RunAhead saved_;
+};
+
 std::uint64_t Scheduler::run_until(Cycles until) {
   // Child Task frames created while agents run allocate (and freed frames
   // recycle) through this scheduler's arena.
   FrameArena::Scope scope(&arena_);
+  RunAheadScope ahead(*this, {.active = true, .horizon = until});
   std::uint64_t dispatched = 0;
   while (const auto handle = take_next(/*limited=*/true, until)) {
     dispatch(handle);
     ++dispatched;
   }
-  return dispatched;
+  return dispatched + ahead_.events;
 }
 
 bool Scheduler::step() {
@@ -272,12 +294,32 @@ bool Scheduler::step() {
 
 std::uint64_t Scheduler::run_to_completion() {
   FrameArena::Scope scope(&arena_);
+  RunAheadScope ahead(*this, {.active = true, .horizon = ~Cycles{0}});
   std::uint64_t dispatched = 0;
   while (const auto handle = take_next(/*limited=*/false, 0)) {
     dispatch(handle);
     ++dispatched;
   }
-  return dispatched;
+  return dispatched + ahead_.events;
+}
+
+std::uint64_t Scheduler::run_until_flag(const bool& done, Cycles max_cycles) {
+  FrameArena::Scope scope(&arena_);
+  // An event at or past max_cycles must go through the loop, whose check
+  // fails right after dispatching it.
+  RunAheadScope ahead(*this, {.active = max_cycles > 0,
+                              .horizon = max_cycles - 1,
+                              .flag = &done});
+  std::uint64_t dispatched = 0;
+  while (!done) {
+    const auto handle = take_next(/*limited=*/false, 0);
+    MEECC_CHECK_MSG(handle, "scheduler drained before the experiment finished");
+    dispatch(handle);
+    ++dispatched;
+    MEECC_CHECK_MSG(now_ < max_cycles,
+                    "experiment exceeded " << max_cycles << " cycles");
+  }
+  return dispatched + ahead_.events;
 }
 
 }  // namespace meecc::sim

@@ -12,6 +12,14 @@
 // handle in the scheduler, and on completion control transfers straight back
 // to the parent. Exceptions propagate parent-ward through await_resume; an
 // exception escaping a top-level Process is rethrown out of the scheduler.
+//
+// Run-ahead: inside the scheduler's own loops (run_until, run_to_completion,
+// run_until_flag) an agent whose next event would be strictly earlier than
+// every pending event continues inline instead of suspending — that event
+// is the next one the loop would dispatch anyway. It still consumes its
+// sequence number, counts as scheduled and dispatched and advances the
+// clock, so dispatch order and every counter match a one-event-per-step
+// drive. step() never runs ahead.
 #pragma once
 
 #include <coroutine>
@@ -259,21 +267,51 @@ class Scheduler {
     // the same tie-break.
     scheduled_.inc();
     ++seq_;
+    // An event due now may join the draining epoch.
+    if (when <= now_) epoch_more_ = true;
     buckets_[bucket_for(std::max(when, now_))].ready.push_back(handle);
     ++pending_;
   }
 
-  /// Runs events with time <= `until`; returns events processed. Rethrows
-  /// the first exception that escaped a top-level Process.
+  /// Runs events with time <= `until`; returns events processed (inline
+  /// run-ahead events included). Rethrows the first exception that
+  /// escaped a top-level Process.
   std::uint64_t run_until(Cycles until);
 
   /// Runs until no events remain.
   std::uint64_t run_to_completion();
 
+  /// Runs until `done` becomes true — "until some agent sets a flag",
+  /// without a horizon (noise agents run forever). Throws CheckFailure if
+  /// the event queue drains, or once an event at or past `max_cycles` has
+  /// run, before that. Returns events processed.
+  std::uint64_t run_until_flag(const bool& done,
+                               Cycles max_cycles = 2'000'000'000ULL);
+
   /// Dispatches exactly one event; returns false when none remain.
-  /// Experiment drivers use this to run "until some agent sets a flag"
-  /// without needing a horizon (noise agents run forever).
   bool step();
+
+  /// Called by awaitables from await_ready with the time their event would
+  /// be enqueued at. True when the caller may continue inline: the loop
+  /// running it allows run-ahead, the event is strictly earlier than
+  /// every pending one, the loop's horizon admits it and its watched flag
+  /// is still clear. The event is then accounted as enqueued and
+  /// dispatched on the spot.
+  bool try_run_ahead(Cycles when) {
+    // Checked first: an event still due in the draining epoch refuses.
+    if (epoch_more_ || !ahead_.active) return false;
+    when = std::max(when, now_);
+    if (when > ahead_.horizon || (ahead_.flag != nullptr && *ahead_.flag) ||
+        !finished_.empty())
+      return false;
+    if (pending_ != 0 && when >= earliest_pending()) return false;
+    scheduled_.inc();
+    ++seq_;
+    dispatched_.inc();
+    now_ = when;
+    ++ahead_.events;
+    return true;
+  }
 
   /// Time of the most recently dispatched event.
   Cycles now() const { return now_; }
@@ -307,6 +345,27 @@ class Scheduler {
 
   /// Ownership half of spawn()/rearm(): registers the coroutine as owned.
   ProcessHandle adopt(Process process);
+
+  /// What the running loop allows try_run_ahead to do.
+  struct RunAhead {
+    bool active = false;
+    Cycles horizon = 0;          ///< latest event time that may run inline
+    const bool* flag = nullptr;  ///< run_until_flag's stop condition
+    std::uint64_t events = 0;    ///< inline events so far in this loop
+  };
+  /// Installs a RunAhead for one loop, restoring the previous one on exit
+  /// (exceptions included).
+  class RunAheadScope;
+
+  /// Time of the earliest pending event outside the draining epoch
+  /// (epoch_more_ stands for those). A stale heap top may under-report
+  /// it, which only makes run-ahead more conservative.
+  Cycles earliest_pending() const {
+    Cycles earliest = ~Cycles{0};
+    if (ondeck_slot_ != kNoBucket) earliest = buckets_[ondeck_slot_].when;
+    if (!times_.empty()) earliest = std::min(earliest, times_.top().when);
+    return earliest;
+  }
 
   /// All events pending at one timestamp, in enqueue order. seq_ increments
   /// monotonically per enqueue, so append order IS sequence order — the
@@ -448,11 +507,17 @@ class Scheduler {
   std::uint32_t epoch_slot_ = 0;  ///< draining bucket, when epoch_active_
   std::size_t epoch_pos_ = 0;     ///< next undispatched entry in the epoch
   bool epoch_active_ = false;
+  /// False only when the draining epoch certainly has no undispatched
+  /// entry: set from the bucket whenever take_next hands one out, and
+  /// raised by any enqueue at the current time. Lets try_run_ahead see an
+  /// event still due now without reading the bucket.
+  bool epoch_more_ = false;
   std::size_t pending_ = 0;  ///< queued, not-yet-dispatched events
   std::vector<std::coroutine_handle<Process::promise_type>> owned_;
   std::vector<std::coroutine_handle<Process::promise_type>> finished_;
   Cycles now_ = 0;
   std::uint64_t seq_ = 0;
+  RunAhead ahead_;
   obs::Counter spawned_;
   obs::Counter scheduled_;
   obs::Counter dispatched_;
@@ -463,7 +528,7 @@ struct WakeAt {
   Scheduler& scheduler;
   Cycles when;
 
-  bool await_ready() const noexcept { return false; }
+  bool await_ready() { return scheduler.try_run_ahead(when); }
   void await_suspend(std::coroutine_handle<> h) { scheduler.enqueue(h, when); }
   void await_resume() const noexcept {}
 };

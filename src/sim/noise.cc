@@ -28,7 +28,7 @@ struct Resumable {
   Op op;
   bool& resume;
 
-  bool await_ready() const noexcept { return resume; }
+  bool await_ready() { return resume || op.await_ready(); }
   void await_suspend(std::coroutine_handle<> handle) {
     op.await_suspend(handle);
   }

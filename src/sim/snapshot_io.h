@@ -33,7 +33,7 @@ namespace meecc::sim {
 
 /// "MEECSNAP" — identifies a framed standalone snapshot file.
 inline constexpr std::uint64_t kSnapshotMagic = 0x4d45454353'4e4150ULL;
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// Appends the canonical encoding of `snap` to `w`. `shape` must be built
 /// from the donor's config; its MAC pad cache is used as scratch.

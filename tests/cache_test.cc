@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/geometry.h"
 #include "cache/hierarchy.h"
 #include "cache/replacement.h"
 #include "cache/set_assoc_cache.h"
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/rng.h"
 
@@ -346,6 +350,176 @@ TEST(Hierarchy, FlushAllResets) {
   h.flush_all();
   EXPECT_FALSE(h.resident(PhysAddr{0x100}));
 }
+
+TEST(Hierarchy, RejectsShapesTheCoreValidBitsCannotCover) {
+  EXPECT_THROW(Hierarchy(small_hierarchy(), 9, Rng(1)), CheckFailure);
+  HierarchyConfig random_fill = small_hierarchy();
+  random_fill.llc_policy.fill = "random";
+  EXPECT_THROW(Hierarchy(random_fill, 2, Rng(1)), CheckFailure);
+  HierarchyConfig partitioned = small_hierarchy();
+  partitioned.llc_policy.fill = "partition";
+  EXPECT_NO_THROW(Hierarchy(partitioned, 2, Rng(1)));
+}
+
+/// The hierarchy as it reads without core-valid bits: every access probes
+/// L1, L2 and the LLC in turn, and clflush / back-invalidation probe the
+/// private caches of every core. Built from the same RNG forks in the same
+/// order as Hierarchy, so both start identical.
+class ProbeEverythingHierarchy {
+ public:
+  ProbeEverythingHierarchy(const HierarchyConfig& config, unsigned cores,
+                           Rng rng)
+      : config_(config) {
+    for (unsigned c = 0; c < cores; ++c) {
+      l1_.emplace_back(config.l1, config.l1_policy, rng.fork());
+      l2_.emplace_back(config.l2, config.l2_policy, rng.fork());
+    }
+    llc_.emplace(config.llc, config.llc_policy, rng.fork());
+  }
+
+  HierarchyResult access(CoreId core, PhysAddr addr) {
+    const PhysAddr line = addr.line_base();
+    auto& l1 = l1_[core.value];
+    auto& l2 = l2_[core.value];
+    if (l1.lookup(line)) return {HitLevel::kL1, config_.l1_latency};
+    if (l2.lookup(line)) {
+      l1.fill(line);
+      return {HitLevel::kL2, config_.l2_latency};
+    }
+    if (llc_->lookup(line)) {
+      l2.fill(line);
+      l1.fill(line);
+      return {HitLevel::kLlc, config_.llc_latency};
+    }
+    if (const auto evicted = llc_->fill(line, kAllWays, core))
+      back_invalidate(*evicted);
+    l2.fill(line);
+    l1.fill(line);
+    return {HitLevel::kMemory, config_.llc_latency};
+  }
+
+  Cycles clflush(PhysAddr addr) {
+    llc_->invalidate(addr.line_base());
+    back_invalidate(addr.line_base());
+    return config_.clflush_latency;
+  }
+
+  void import_state(const Hierarchy::State& state) {
+    for (std::size_t c = 0; c < l1_.size(); ++c) {
+      l1_[c].restore(state.l1[c]);
+      l2_[c].restore(state.l2[c]);
+    }
+    llc_->restore(state.llc);
+  }
+
+  const SetAssocCache& l1(std::size_t c) const { return l1_[c]; }
+  const SetAssocCache& l2(std::size_t c) const { return l2_[c]; }
+  const SetAssocCache& llc() const { return *llc_; }
+
+ private:
+  void back_invalidate(PhysAddr line) {
+    for (std::size_t c = 0; c < l1_.size(); ++c) {
+      l1_[c].invalidate(line);
+      l2_[c].invalidate(line);
+    }
+  }
+
+  HierarchyConfig config_;
+  std::vector<SetAssocCache> l1_;
+  std::vector<SetAssocCache> l2_;
+  std::optional<SetAssocCache> llc_;
+};
+
+std::string image_bytes(const SetAssocCache& cache) {
+  io::Writer w;
+  encode_cache_image(w, *cache.capture());
+  return w.take();
+}
+
+void expect_same_caches(const SetAssocCache& got, const SetAssocCache& want,
+                        const std::string& what) {
+  EXPECT_EQ(image_bytes(got), image_bytes(want)) << what;
+  EXPECT_EQ(got.stats().hits, want.stats().hits) << what;
+  EXPECT_EQ(got.stats().misses, want.stats().misses) << what;
+  EXPECT_EQ(got.stats().evictions, want.stats().evictions) << what;
+  EXPECT_EQ(got.stats().invalidations, want.stats().invalidations) << what;
+}
+
+class HierarchyReference
+    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+
+// Random 4-core reads, writes and clflushes over a working set several
+// times the LLC, so LLC evictions back-invalidate lines other cores hold.
+// The core-valid shortcuts must leave every observable exactly as the
+// probe-everything hierarchy has it, also across a mid-run restore.
+TEST_P(HierarchyReference, MatchesProbingEveryCache) {
+  HierarchyConfig config;
+  config.l1 = Geometry{.size_bytes = 1024, .ways = 2};
+  config.l2 = Geometry{.size_bytes = 2 * 1024, .ways = 4};
+  config.llc = Geometry{.size_bytes = 4 * 1024, .ways = 8};
+  config.llc_policy.indexing = GetParam().first;
+  config.llc_policy.replacement = GetParam().second;
+  constexpr unsigned kCores = 4;
+  Hierarchy h(config, kCores, Rng(17));
+  ProbeEverythingHierarchy ref(config, kCores, Rng(17));
+  Rng ops(99);
+  const auto compare_all = [&](const std::string& when) {
+    for (unsigned c = 0; c < kCores; ++c) {
+      expect_same_caches(h.l1(CoreId{c}), ref.l1(c),
+                         when + " L1 core " + std::to_string(c));
+      expect_same_caches(h.l2(CoreId{c}), ref.l2(c),
+                         when + " L2 core " + std::to_string(c));
+    }
+    expect_same_caches(h.llc(), ref.llc(), when + " LLC");
+  };
+  const auto run = [&](int count, const std::string& phase) {
+    for (int i = 0; i < count; ++i) {
+      const CoreId core{static_cast<std::uint32_t>(ops.next_below(kCores))};
+      // 256 lines (16 KB) plus a byte offset within the line.
+      const PhysAddr addr{ops.next_below(256) * 64 + ops.next_below(64)};
+      const auto op = ops.next_below(10);
+      if (op < 3) {
+        ASSERT_EQ(h.clflush(addr), ref.clflush(addr)) << phase << " op " << i;
+      } else {
+        // Reads and writes (3..9) take the same path through the hierarchy.
+        const HierarchyResult got = h.access(core, addr);
+        const HierarchyResult want = ref.access(core, addr);
+        ASSERT_EQ(got.level, want.level) << phase << " op " << i;
+        ASSERT_EQ(got.lookup_latency, want.lookup_latency)
+            << phase << " op " << i;
+      }
+    }
+  };
+  run(3000, "first run");
+  compare_all("after the first run");
+  // The mix reaches every path: private hits and LLC evictions that
+  // back-invalidate.
+  EXPECT_GT(h.l1(CoreId{0}).stats().hits, 0u);
+  EXPECT_GT(h.l2(CoreId{0}).stats().hits, 0u);
+  EXPECT_GT(h.llc().stats().hits, 0u);
+  EXPECT_GT(h.llc().stats().evictions, 0u);
+  const Hierarchy::State mid = h.export_state();
+  run(3000, "second run");
+  compare_all("after the second run");
+  // Back to the midpoint (images carry no core-valid bits) and diverge
+  // from it again: the restored bits must still cover every holder.
+  h.import_state(mid);
+  ref.import_state(mid);
+  compare_all("after the restore");
+  run(3000, "after the restore");
+  compare_all("at the end");
+  // And once more onto the same image, the recycling path.
+  h.import_state(mid);
+  ref.import_state(mid);
+  run(2000, "after the second restore");
+  compare_all("after the second restore");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LlcPolicies, HierarchyReference,
+    ::testing::Values(std::pair{"modulo", "tree-plru"},
+                      std::pair{"skewed", "tree-plru"},
+                      std::pair{"modulo", "lru"}));
 
 }  // namespace
 }  // namespace meecc::cache

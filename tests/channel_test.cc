@@ -117,7 +117,7 @@ TEST(TestBed, RunUntilFlagGuardsAgainstDrainedQueue) {
   config.background_mean_gap = 0;  // nothing scheduled at all
   TestBed bed(config);
   bool never = false;
-  EXPECT_THROW(bed.run_until_flag(never), CheckFailure);
+  EXPECT_THROW(bed.scheduler().run_until_flag(never), CheckFailure);
 }
 
 TEST(NoiseEnv, ToStringCoversAll) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -160,6 +163,43 @@ TEST(PageTable, UnalignedMapRejected) {
   VirtualAddressSpace vas;
   EXPECT_THROW(vas.map_page(VirtAddr{0x1001}, PhysAddr{0x2000}), CheckFailure);
   EXPECT_THROW(vas.map_page(VirtAddr{0x1000}, PhysAddr{0x2004}), CheckFailure);
+}
+
+TEST(PageTable, PagesMappedInAnyOrderTranslateAndExportSorted) {
+  // Runs grow at either end, merge when a gap closes, and stay apart
+  // otherwise; every page keeps its own frame.
+  VirtualAddressSpace vas;
+  Rng rng(3);
+  std::vector<std::uint64_t> vpns;
+  for (std::uint64_t v = 0; v < 40; ++v) vpns.push_back(0x10 + v);
+  for (std::uint64_t v = 0; v < 10; ++v) vpns.push_back(0x900 + 2 * v);
+  for (std::size_t i = vpns.size(); i > 1; --i)
+    std::swap(vpns[i - 1], vpns[rng.next_below(i)]);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> want;
+  for (const std::uint64_t vpn : vpns) {
+    const std::uint64_t pfn = rng.next_below(1 << 20);
+    vas.map_page(VirtAddr{vpn * kPageSize}, PhysAddr{pfn * kPageSize});
+    want.emplace_back(vpn, pfn);
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(vas.sorted_pages(), want);
+  EXPECT_EQ(vas.mapped_pages(), want.size());
+  for (const auto& [vpn, pfn] : want)
+    EXPECT_EQ(vas.translate(VirtAddr{vpn * kPageSize + 9}).raw,
+              pfn * kPageSize + 9);
+  EXPECT_FALSE(vas.is_mapped(VirtAddr{0x0f * kPageSize}));
+  EXPECT_FALSE(vas.is_mapped(VirtAddr{0x38 * kPageSize}));
+  EXPECT_FALSE(vas.is_mapped(VirtAddr{0x901 * kPageSize}));
+  EXPECT_THROW(vas.map_page(VirtAddr{0x20 * kPageSize}, PhysAddr{0}),
+               CheckFailure);
+
+  VirtualAddressSpace imported;
+  imported.import_pages(want);
+  EXPECT_EQ(imported.sorted_pages(), want);
+  VirtualAddressSpace copy;
+  copy.map_page(VirtAddr{0x5000 * kPageSize}, PhysAddr{0});
+  copy = vas;
+  EXPECT_EQ(copy.sorted_pages(), want);
 }
 
 TEST(EpcAllocator, ContiguousHandsOutSequentialFrames) {

@@ -400,9 +400,20 @@ TEST(Runner, Fig7SharedSetupMatchesTheFreshPath) {
   spec.sets = {{"bits", "16"}};
   spec.axes = {{"window", {"5000", "15000"}}};
   spec.base_seed = 221;
-  spec.seeds = 8;  // 221..228; seed 228 fails monitor discovery
+  spec.seeds = 8;  // 221..228; seed 228 needs the monitor-discovery retry
   expect_fig7_matches_fresh_path(
-      spec, 2, {{1, true}, {1, false}, {4, true}, {4, false}});
+      spec, 0, {{1, true}, {1, false}, {4, true}, {4, false}});
+}
+
+// A setup that fails — Algorithm 1 under autostarted stride-walker noise
+// on seed 3 — must leave the same failure record on every path.
+TEST(Runner, Fig7SharedSetupFailureMatchesTheFreshPath) {
+  SweepSpec spec;
+  spec.sets = {{"bits", "16"}, {"noise", "mee512"}};
+  spec.axes = {{"window", {"15000"}}};
+  spec.base_seed = 3;
+  spec.seeds = 1;
+  expect_fig7_matches_fresh_path(spec, 1, {{1, true}, {4, false}});
 }
 
 // Stride-walker noise running through Algorithm 1 and captured live.

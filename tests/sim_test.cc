@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "common/check.h"
+#include "obs/hub.h"
+#include "obs/trace.h"
 #include "sgx/enclave.h"
 #include "sim/actor.h"
 #include "sim/des.h"
@@ -66,6 +69,70 @@ TEST(Des, StepDispatchesOneEvent) {
   }
   EXPECT_EQ(ticks.size(), 3u);
   EXPECT_FALSE(scheduler.step());
+}
+
+// Run-ahead: the scheduler's loops continue an agent inline when its next
+// event is the earliest anyway. What a loop returns, where it stops and
+// what it leaves pending must be what one-event steps give.
+
+TEST(Des, RunUntilCountsInlineEventsAndHonoursItsHorizon) {
+  obs::Hub hub;
+  Scheduler scheduler;
+  scheduler.set_hub(&hub);
+  std::vector<Cycles> ticks;
+  scheduler.spawn(record_ticks(scheduler, &ticks, 100, 10));
+  // The spawn event, then the wake-ups at 100, 200 and 300 — a lone agent
+  // runs them inline, and they still count.
+  EXPECT_EQ(scheduler.run_until(350), 4u);
+  EXPECT_EQ(ticks, (std::vector<Cycles>{100, 200, 300}));
+  EXPECT_EQ(scheduler.now(), 300u);
+  EXPECT_FALSE(scheduler.idle());  // the wake-up at 400 stays queued
+  EXPECT_EQ(scheduler.run_until(350), 0u);
+  EXPECT_EQ(scheduler.run_until(400), 1u);  // a horizon is inclusive
+  EXPECT_EQ(scheduler.run_to_completion(), 6u);
+  EXPECT_EQ(ticks.size(), 10u);
+  EXPECT_EQ(hub.registry().counter("des", "dispatched").value(), 11u);
+  EXPECT_EQ(hub.registry().counter("des", "scheduled").value(), 11u);
+  EXPECT_EQ(scheduler.event_seq(), 11u);
+}
+
+Process log_at(Scheduler& scheduler, Cycles when, int id,
+               std::vector<int>* order) {
+  co_await WakeAt{scheduler, when};
+  order->push_back(id);
+}
+
+Process spawn_then_sleep(Scheduler& scheduler, std::vector<int>* order) {
+  co_await WakeAt{scheduler, 50};
+  // Due at 100, like the agent already queued there; that one came first.
+  co_await WakeAt{scheduler, 100};
+  order->push_back(1);
+  // A process spawned now is due now, so sleeping past it must not run
+  // ahead of it.
+  scheduler.spawn(log_at(scheduler, 0, 2, order), 0);
+  co_await WakeAt{scheduler, 105};
+  order->push_back(3);
+}
+
+TEST(Des, RunAheadNeverOvertakesAnEventDueNoLater) {
+  Scheduler scheduler;
+  std::vector<int> order;
+  scheduler.spawn(log_at(scheduler, 100, 0, &order));
+  scheduler.spawn(spawn_then_sleep(scheduler, &order));
+  EXPECT_EQ(scheduler.run_to_completion(), 8u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Des, RunUntilFlagDispatchesTheEventPastItsBudgetThenFails) {
+  // As with one-event steps: the first event at or past max_cycles runs,
+  // then the loop throws.
+  Scheduler scheduler;
+  std::vector<Cycles> ticks;
+  scheduler.spawn(record_ticks(scheduler, &ticks, 100, 10));
+  const bool never = false;
+  EXPECT_THROW(scheduler.run_until_flag(never, 350), CheckFailure);
+  EXPECT_EQ(scheduler.now(), 400u);
+  EXPECT_EQ(ticks.back(), 400u);
 }
 
 Process throwing_agent(Scheduler& scheduler) {
@@ -464,6 +531,123 @@ TEST_F(SystemTest, MeeContentionDelaysBackToBackArrivals) {
   mee.mutable_cache().flush_all();
   const auto idle = mee.read_line(CoreId{1}, b, nullptr, 5'000'000);
   EXPECT_GT(contended.extra_latency, idle.extra_latency + 50);
+}
+
+Process flag_then_read(Actor& actor, VirtAddr addr, bool* done, int* reads) {
+  co_await actor.read(addr);
+  ++*reads;
+  co_await actor.read(addr);
+  ++*reads;
+  *done = true;
+  co_await actor.read(addr);
+  ++*reads;
+}
+
+TEST_F(SystemTest, ReadAfterTheWatchedFlagStaysPending) {
+  Actor actor(system_, CoreId{0}, CpuMode::kNonEnclave);
+  const VirtAddr buffer =
+      map_general_buffer(actor, VirtAddr{0x1000'0000}, kPageSize);
+  bool done = false;
+  int reads = 0;
+  system_.scheduler().spawn(flag_then_read(actor, buffer, &done, &reads));
+  EXPECT_EQ(system_.scheduler().run_until_flag(done), 3u);
+  EXPECT_EQ(reads, 2);
+  EXPECT_FALSE(system_.scheduler().idle());
+  EXPECT_EQ(system_.scheduler().live_processes(), 1u);
+  EXPECT_TRUE(system_.scheduler().step());
+  EXPECT_EQ(reads, 3);
+  EXPECT_TRUE(system_.scheduler().idle());
+}
+
+/// One entry per completed operation of a run_ahead_agent.
+struct OpRecord {
+  std::uint32_t core = 0;
+  Cycles scheduler_now = 0;
+  Cycles actor_now = 0;
+  cache::HitLevel level = cache::HitLevel::kMemory;
+  friend bool operator==(const OpRecord&, const OpRecord&) = default;
+};
+
+/// Random protected reads, clflushes and sleeps, some of them long enough
+/// for the other agents to overtake; sets `*done` after `ops` and then
+/// keeps going for another `ops`.
+Process run_ahead_agent(Actor& actor, const sgx::Enclave& enclave, int ops,
+                        bool* done, std::vector<OpRecord>* log) {
+  for (int i = 0; i < 2 * ops; ++i) {
+    if (i == ops) *done = true;
+    const VirtAddr addr =
+        enclave.address(actor.rng().next_below(enclave.size() / kLineSize) *
+                        kLineSize);
+    const auto pick = actor.rng().next_below(4);
+    AccessResult result;
+    if (pick == 0)
+      co_await actor.clflush(addr);
+    else if (pick == 1)
+      co_await actor.sleep_for(actor.rng().next_below(3000));
+    else
+      result = co_await actor.read(addr);
+    log->push_back({actor.core().value, actor.scheduler().now(), actor.now(),
+                    result.cache_level});
+  }
+}
+
+struct RunAheadOutcome {
+  std::vector<OpRecord> log;
+  std::vector<obs::TraceEvent> trace;
+  obs::CounterSnapshot counters;
+  Cycles now = 0;
+  std::uint64_t seq = 0;
+};
+
+/// Three agents on one machine, driven by the scheduler's loops
+/// (`by_steps` false) or by step() alone with the same stopping rules.
+RunAheadOutcome run_three_agents(bool by_steps) {
+  System system(small_system_config(5));
+  obs::CollectingSink sink;
+  system.hub().set_trace_sink(&sink);
+  std::vector<std::unique_ptr<Actor>> actors;
+  std::vector<std::unique_ptr<sgx::Enclave>> enclaves;
+  RunAheadOutcome out;
+  bool done[3] = {false, false, false};
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    actors.push_back(
+        std::make_unique<Actor>(system, CoreId{c}, CpuMode::kEnclave));
+    enclaves.push_back(std::make_unique<sgx::Enclave>(
+        *actors.back(),
+        sgx::EnclaveConfig{VirtAddr{0x7000'0000'0000ULL + c * (1ULL << 32)},
+                           8 * kPageSize}));
+    system.scheduler().spawn(run_ahead_agent(*actors.back(),
+                                             *enclaves.back(), 150 + 50 * c,
+                                             &done[c], &out.log));
+  }
+  Scheduler& scheduler = system.scheduler();
+  if (by_steps) {
+    while (!done[0]) EXPECT_TRUE(scheduler.step());
+    while (!done[2]) EXPECT_TRUE(scheduler.step());
+    while (scheduler.step()) {
+    }
+  } else {
+    scheduler.run_until_flag(done[0]);
+    scheduler.run_until_flag(done[2]);
+    scheduler.run_to_completion();
+  }
+  out.trace = sink.events();
+  out.counters = system.hub().registry().snapshot();
+  out.now = scheduler.now();
+  out.seq = scheduler.event_seq();
+  return out;
+}
+
+TEST(Des, LoopsMatchOneEventStepsOnAMachine) {
+  const RunAheadOutcome loops = run_three_agents(false);
+  const RunAheadOutcome steps = run_three_agents(true);
+  ASSERT_EQ(loops.log.size(), 2u * (150 + 200 + 250));
+  EXPECT_TRUE(loops.log == steps.log);
+  EXPECT_TRUE(loops.trace == steps.trace);
+  EXPECT_EQ(loops.counters, steps.counters);
+  EXPECT_EQ(loops.now, steps.now);
+  EXPECT_EQ(loops.seq, steps.seq);
+  EXPECT_GT(obs::snapshot_value(loops.counters, "des.dispatched"), 0u);
 }
 
 TEST(SystemDeterminism, SameSeedSameTrace) {
