@@ -24,9 +24,9 @@ Hierarchy::Hierarchy(const HierarchyConfig& config, unsigned core_count,
                      Rng rng, obs::Hub* hub)
     : config_(config), hub_(hub) {
   MEECC_CHECK(core_count > 0);
-  MEECC_CHECK_MSG(core_count <= 8,
-                  "the LLC core-valid bits cover at most 8 cores, got "
-                      << core_count);
+  MEECC_CHECK_MSG(core_count <= kMaxCores,
+                  "the LLC core-valid bits cover at most "
+                      << kMaxCores << " cores, got " << core_count);
   for (unsigned c = 0; c < core_count; ++c) {
     l1_.push_back(std::make_unique<SetAssocCache>(config_.l1,
                                                   config_.l1_policy,

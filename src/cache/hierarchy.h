@@ -51,11 +51,14 @@ struct HierarchyResult {
 
 class Hierarchy {
  public:
+  /// One core-valid bit per core in a byte.
+  static constexpr unsigned kMaxCores = 8;
+
   /// `hub` (optional, borrowed) receives per-level hit/miss/eviction
   /// counters under cache.l1 / cache.l2 / cache.llc and eviction trace
-  /// events; it must outlive the hierarchy. At most 8 cores (one
-  /// core-valid bit each), and the LLC fill policy must admit every miss,
-  /// or the LLC would stop covering the private caches.
+  /// events; it must outlive the hierarchy. At most kMaxCores cores
+  /// (one core-valid bit each), and the LLC fill policy must admit every
+  /// miss, or the LLC would stop covering the private caches.
   Hierarchy(const HierarchyConfig& config, unsigned core_count, Rng rng,
             obs::Hub* hub = nullptr);
 

@@ -219,11 +219,10 @@ ChannelSetup setup_covert_channel(TestBed& bed, const ChannelConfig& config,
 
   DiscoveryShared discovery =
       discover_monitor(bed, config, setup.eviction.eviction_set);
-  if (!discovery.found) {
-    // On rare seeds Algorithm 1 validates a set whose beacon the spy never
-    // sees (about 1 in 3,000 fig7 seeds). One more Algorithm 1 run from
-    // where the bed now stands, and one more discovery, recovers them; a
-    // seed whose first discovery succeeds never reaches this path.
+  // A retry runs Algorithm 1 again from where the bed now stands; a seed
+  // whose first discovery succeeds never reaches it.
+  for (int retry = 0; !discovery.found && retry < config.setup_retries;
+       ++retry) {
     setup.eviction = find_eviction_set(bed, ev_config);
     MEECC_CHECK_MSG(setup.eviction.eviction_set.size() >= 2,
                     "Algorithm 1 failed to recover an eviction set");

@@ -35,6 +35,11 @@ struct ChannelConfig {
   /// Monitor-discovery parameters.
   Cycles beacon_period = 25000;
   int discovery_rounds = 8;
+  /// Extra Algorithm 1 + discovery rounds when discovery finds no monitor.
+  /// On about 1 in 3,000 seeds Algorithm 1 validates a set whose beacon the
+  /// spy never sees, and one more round recovers it. 0 keeps setup a single
+  /// attempt, so a setup that a mitigation blocks fails exactly once.
+  int setup_retries = 0;
 
   ChannelConfig() { eviction.offset_unit = offset_unit; }
 };

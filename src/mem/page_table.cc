@@ -20,18 +20,8 @@ void VirtualAddressSpace::insert(std::uint64_t vpn, std::uint64_t pfn) {
     Run& prev = *std::prev(next);
     if (prev.first_vpn + prev.pfns.size() == vpn) {
       prev.pfns.push_back(pfn);
-      if (next != runs_.end() && next->first_vpn == vpn + 1) {
-        prev.pfns.insert(prev.pfns.end(), next->pfns.begin(),
-                         next->pfns.end());
-        runs_.erase(next);
-      }
       return;
     }
-  }
-  if (next != runs_.end() && next->first_vpn == vpn + 1) {
-    next->first_vpn = vpn;
-    next->pfns.insert(next->pfns.begin(), pfn);
-    return;
   }
   runs_.insert(next, Run{vpn, {pfn}});
 }

@@ -71,10 +71,11 @@ class VirtualAddressSpace {
     return index < run.pfns.size() ? &run.pfns[index] : nullptr;
   }
 
-  /// Maps an unmapped `vpn`, extending or joining the runs around it.
+  /// Maps an unmapped `vpn`: extends the run that ends right before it, or
+  /// starts a new run. Every caller maps pages in ascending order.
   void insert(std::uint64_t vpn, std::uint64_t pfn);
 
-  std::vector<Run> runs_;  ///< ascending, disjoint, never adjacent
+  std::vector<Run> runs_;  ///< ascending, disjoint
   std::size_t pages_ = 0;
 };
 

@@ -11,10 +11,13 @@
 //
 // Snapshots are plain sorted vectors: deterministic to serialize, cheap to
 // merge across the several System instances one trial may build (fig6
-// builds two machines; their counters add).
+// builds two machines; their counters add). Sample names are interned, so
+// taking, merging and copying a snapshot allocates only the vector.
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
@@ -24,17 +27,53 @@ namespace meecc::obs {
 
 class Registry;
 
+/// An interned counter name: a pointer to the one process-wide copy of its
+/// text, so copying it never allocates and equality is pointer equality.
+/// Constructing one from text looks the text up under a lock (adding it on
+/// first use); the set of distinct names is the program's counter set, and
+/// the copies live until the process exits.
+class CounterName {
+ public:
+  CounterName();  ///< the empty name
+  CounterName(std::string_view text);
+  CounterName(const std::string& text) : CounterName(std::string_view(text)) {}
+  CounterName(const char* text) : CounterName(std::string_view(text)) {}
+
+  /// Interns "<group>.<name>" without building a temporary string.
+  static CounterName join(std::string_view group, std::string_view name);
+
+  const std::string& str() const { return *text_; }
+  std::string_view view() const { return *text_; }
+  operator std::string_view() const { return *text_; }
+
+  friend bool operator==(const CounterName& a, const CounterName& b) {
+    return a.text_ == b.text_;
+  }
+  /// Lexicographic by text: the serialization order of snapshots.
+  friend std::strong_ordering operator<=>(const CounterName& a,
+                                          const CounterName& b) {
+    return a.text_ == b.text_ ? std::strong_ordering::equal
+                              : a.text_->compare(*b.text_) <=> 0;
+  }
+
+ private:
+  const std::string* text_;
+};
+
+std::ostream& operator<<(std::ostream& out, const CounterName& name);
+
 namespace detail {
 
 /// One counter's storage: the live value, the baseline recorded by the last
-/// full restore (or reset), and an intrusive dirty link. `next_dirty` is
-/// nullptr while the slot is clean; the first post-baseline increment links
-/// the slot into its registry's dirty list, so rewinding to the baseline
-/// touches only counters that actually moved.
+/// full restore (or reset), an intrusive dirty link and the dotted name.
+/// `next_dirty` is nullptr while the slot is clean; the first post-baseline
+/// increment links the slot into its registry's dirty list, so rewinding to
+/// the baseline touches only counters that actually moved.
 struct CounterSlot {
   std::uint64_t value = 0;
   std::uint64_t baseline = 0;
   CounterSlot* next_dirty = nullptr;
+  CounterName name;
 };
 
 /// Terminator of every dirty list (distinct from nullptr, which marks a
@@ -74,7 +113,7 @@ class Counter {
 
 /// One counter's value at snapshot time; `name` is the full dotted path.
 struct CounterSample {
-  std::string name;
+  CounterName name;
   std::uint64_t value = 0;
 
   friend bool operator==(const CounterSample&, const CounterSample&) = default;
@@ -159,6 +198,9 @@ class Registry {
 
  private:
   void clear_dirty_list();
+  /// The slot for (group, name), created with its interned name on first
+  /// use.
+  detail::CounterSlot& slot_at(std::string_view group, std::string_view name);
 
   // Node-based nested maps: value slots never move, so Counter handles
   // survive later registrations.
@@ -166,6 +208,7 @@ class Registry {
            std::map<std::string, detail::CounterSlot, std::less<>>,
            std::less<>>
       groups_;
+  std::size_t slot_count_ = 0;
   detail::CounterSlot* dirty_head_ = &detail::dirty_list_end;
   std::uint64_t baseline_epoch_ = 0;
 };

@@ -21,7 +21,10 @@ TrialScope::~TrialScope() {
 TrialScope* TrialScope::current() { return g_current; }
 
 void TrialScope::absorb(const Registry& registry) {
-  merge_into(counters_, registry.snapshot());
+  if (counters_.empty())
+    counters_ = registry.snapshot();
+  else
+    merge_into(counters_, registry.snapshot());
 }
 
 }  // namespace meecc::obs

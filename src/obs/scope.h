@@ -10,6 +10,8 @@
 // Scopes nest (a stack per thread) but normal use is one per trial.
 #pragma once
 
+#include <utility>
+
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -31,6 +33,9 @@ class TrialScope {
 
   /// Everything absorbed so far, sorted by counter name.
   const CounterSnapshot& counters() const { return counters_; }
+
+  /// Moves the absorbed counters out, leaving the scope empty.
+  CounterSnapshot take_counters() { return std::move(counters_); }
 
   TraceSink* trace_sink() const { return trace_sink_; }
 

@@ -14,10 +14,13 @@ namespace meecc::runtime {
 
 namespace {
 
-ChannelSetupOutcome run_channel_setup(channel::TestBed& bed) {
+ChannelSetupOutcome run_channel_setup(channel::TestBed& bed,
+                                      int setup_retries) {
   ChannelSetupOutcome outcome;
+  channel::ChannelConfig config;
+  config.setup_retries = setup_retries;
   try {
-    outcome.setup = channel::setup_covert_channel(bed, channel::ChannelConfig{});
+    outcome.setup = channel::setup_covert_channel(bed, config);
     outcome.ok = true;
   } catch (const CheckFailure& e) {
     outcome.failure = e.what();
@@ -30,10 +33,10 @@ ChannelSetupOutcome run_channel_setup(channel::TestBed& bed) {
 /// traces belong to no single trial — forks restore the snapshot's counter
 /// baseline instead.
 std::shared_ptr<const ChannelWarmState> warm_channel_setup(
-    const channel::TestBedConfig& config) {
+    const channel::TestBedConfig& config, int setup_retries) {
   obs::TrialScope shield(nullptr);
   channel::TestBed bed(config);
-  ChannelSetupOutcome outcome = run_channel_setup(bed);
+  ChannelSetupOutcome outcome = run_channel_setup(bed, setup_retries);
   return std::make_shared<const ChannelWarmState>(
       ChannelWarmState{.bed = bed.snapshot(), .outcome = std::move(outcome)});
 }
@@ -90,9 +93,10 @@ std::shared_ptr<const ChannelWarmState> decode_warm_state(
 }
 
 std::shared_ptr<const ChannelWarmState> memoized_channel_setup(
-    const channel::TestBedConfig& config, const std::string& key) {
+    const channel::TestBedConfig& config, const std::string& key,
+    int setup_retries) {
   return memoized_setup<ChannelWarmState>(
-      key, [&] { return warm_channel_setup(config); },
+      key, [&] { return warm_channel_setup(config, setup_retries); },
       [&](const ChannelWarmState& state) {
         return encode_warm_state(config, state);
       },
@@ -113,9 +117,17 @@ bool setup_is_shared() {
 
 std::string warm_key_for(std::string_view family, const TrialSpec& spec,
                          std::uint64_t seed) {
-  std::string key = std::string(family) + "|seed=" + std::to_string(seed);
+  constexpr std::string_view kSeed = "|seed=";
+  const std::string seed_text = std::to_string(seed);
+  std::size_t size = family.size() + kSeed.size() + seed_text.size();
   for (const auto& [param, value] : spec.params)
-    if (is_config_key(param)) key += '|' + param + '=' + value;
+    if (is_config_key(param)) size += 2 + param.size() + value.size();
+  std::string key;
+  key.reserve(size);  // one allocation per key: this runs on every trial
+  key.append(family).append(kSeed).append(seed_text);
+  for (const auto& [param, value] : spec.params)
+    if (is_config_key(param))
+      key.append(1, '|').append(param).append(1, '=').append(value);
   return key;
 }
 
@@ -170,15 +182,15 @@ TrialBed::~TrialBed() {
 }
 
 ChannelTrial::ChannelTrial(const channel::TestBedConfig& config,
-                           const std::string& key) {
+                           const std::string& key, int setup_retries) {
   if (setup_is_shared()) {
-    warm_ = memoized_channel_setup(config, key);
+    warm_ = memoized_channel_setup(config, key, setup_retries);
     leased_.emplace(config, key + "|trial", warm_);
     bed_ = &**leased_;
     outcome_ = &warm_->outcome;
   } else {
     own_bed_ = std::make_unique<channel::TestBed>(config);
-    own_outcome_ = run_channel_setup(*own_bed_);
+    own_outcome_ = run_channel_setup(*own_bed_, setup_retries);
     bed_ = own_bed_.get();
     outcome_ = &own_outcome_;
   }

@@ -82,9 +82,12 @@ class TrialBed {
 /// One trial's channel: a bed at the end of setup plus the setup outcome.
 /// Shared (forked from the memoized warm state under `key`) when the trial
 /// runs under a SetupCache, run here on the trial's own bed otherwise.
+/// `setup_retries` is channel::ChannelConfig::setup_retries; it changes the
+/// warm state, so every trial sharing a key must pass the same value.
 class ChannelTrial {
  public:
-  ChannelTrial(const channel::TestBedConfig& config, const std::string& key);
+  ChannelTrial(const channel::TestBedConfig& config, const std::string& key,
+               int setup_retries = 0);
 
   channel::TestBed& bed() { return *bed_; }
   const ChannelSetupOutcome& outcome() const { return *outcome_; }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "cache/hierarchy.h"
 #include "cache/policy.h"
 #include "cache/replacement.h"
 #include "mem/frame_allocator.h"
@@ -52,12 +53,14 @@ channel::NoiseEnv parse_noise(std::string_view key, std::string_view value) {
 
 /// Validates a policy name against its registry at parse time, so a typo in
 /// --set/--sweep fails before any trial runs, naming the alternatives.
+/// `names` lists the registered policies; it is only called for the error
+/// message, so accepting a known name builds no list.
 std::string parse_policy_name(std::string_view key, std::string_view value,
                               bool known,
-                              const std::vector<std::string>& names) {
+                              std::vector<std::string> (*names)()) {
   if (known) return std::string(value);
   std::string expected;
-  for (const auto& name : names) {
+  for (const auto& name : names()) {
     if (!expected.empty()) expected += '|';
     expected += name;
   }
@@ -98,9 +101,11 @@ struct BedParam {
 // The machine-level half of the table: everything reachable from
 // sim::SystemConfig.
 constexpr SystemParam kSystemParams[] = {
-    {"cores", "physical core count",
+    {"cores", "physical core count, 1-8 (one LLC core-valid bit each)",
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
        c.cores = parse_u32(k, v);
+       if (c.cores == 0 || c.cores > cache::Hierarchy::kMaxCores)
+         bad_value(k, v, "a core count from 1 to 8");
      }},
     {"clock_ghz", "core clock for cycles<->seconds conversion",
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
@@ -158,19 +163,19 @@ constexpr SystemParam kSystemParams[] = {
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
        c.mee.cache_policy.indexing =
            parse_policy_name(k, v, cache::is_indexing_policy(v),
-                             cache::indexing_policy_names());
+                             cache::indexing_policy_names);
      }},
     {"mee.cache.replacement",
      "MEE replacement policy: lru|nru|random|tree-plru",
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
        c.mee.cache_policy.replacement =
            parse_policy_name(k, v, cache::is_replacement_policy(v),
-                             cache::replacement_names());
+                             cache::replacement_names);
      }},
     {"mee.cache.fill", "MEE fill policy: all|partition|random",
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
        c.mee.cache_policy.fill = parse_policy_name(
-           k, v, cache::is_fill_policy(v), cache::fill_policy_names());
+           k, v, cache::is_fill_policy(v), cache::fill_policy_names);
      }},
     {"mee.cache.index_key", "keyed/skewed index permutation key",
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
@@ -192,13 +197,13 @@ constexpr SystemParam kSystemParams[] = {
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
        c.hierarchy.llc_policy.indexing =
            parse_policy_name(k, v, cache::is_indexing_policy(v),
-                             cache::indexing_policy_names());
+                             cache::indexing_policy_names);
      }},
     {"llc.replacement", "LLC replacement policy: lru|nru|random|tree-plru",
      [](sim::SystemConfig& c, std::string_view k, std::string_view v) {
        c.hierarchy.llc_policy.replacement =
            parse_policy_name(k, v, cache::is_replacement_policy(v),
-                             cache::replacement_names());
+                             cache::replacement_names);
      }},
 };
 

@@ -67,7 +67,7 @@ TrialRecord run_one(const Experiment& experiment, const TrialSpec& spec,
   } catch (...) {
     record.error = "unknown exception";
   }
-  record.counters = scope.counters();
+  record.counters = scope.take_counters();
   return record;
 }
 

@@ -215,7 +215,7 @@ obs::CounterSnapshot merge_counters(const std::vector<TrialRecord>& records) {
 Table counters_table(const obs::CounterSnapshot& counters) {
   Table table({"counter", "value"});
   for (const obs::CounterSample& sample : counters)
-    table.add_row({sample.name, std::to_string(sample.value)});
+    table.add_row({sample.name.str(), std::to_string(sample.value)});
   return table;
 }
 

@@ -56,8 +56,8 @@ TEST(CounterInvariants, MeeStopLevelsSumToWalks) {
   // The per-core split partitions the same walks.
   std::uint64_t per_core = 0;
   for (const auto& sample : counters)
-    if (sample.name.starts_with("mee.core") &&
-        sample.name.find(".stop.") != std::string::npos)
+    if (sample.name.view().starts_with("mee.core") &&
+        sample.name.view().find(".stop.") != std::string::npos)
       per_core += sample.value;
   EXPECT_EQ(per_core, stops);
   // Versions-class MEE-cache lookups happen once per walk too.

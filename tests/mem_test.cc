@@ -166,8 +166,8 @@ TEST(PageTable, UnalignedMapRejected) {
 }
 
 TEST(PageTable, PagesMappedInAnyOrderTranslateAndExportSorted) {
-  // Runs grow at either end, merge when a gap closes, and stay apart
-  // otherwise; every page keeps its own frame.
+  // Out-of-order mapping leaves more, shorter runs than ascending mapping,
+  // but every page still keeps its own frame.
   VirtualAddressSpace vas;
   Rng rng(3);
   std::vector<std::uint64_t> vpns;

@@ -13,6 +13,7 @@
 #include "channel/covert_channel.h"
 #include "channel/testbed.h"
 #include "common/bytes.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "obs/scope.h"
 #include "runtime/experiments.h"
@@ -192,6 +193,15 @@ TEST(Sweep, RejectsUnknownKeysAndBadValues) {
   SweepSpec bad_value;
   bad_value.sets = {{"cores", "lots"}};  // config key, junk value
   EXPECT_THROW(expand_sweep(e, bad_value), ParamError);
+  // The LLC's core-valid bits cover 1-8 cores.
+  for (const char* cores : {"0", "9"}) {
+    SweepSpec bad_cores;
+    bad_cores.sets = {{"cores", cores}};
+    EXPECT_THROW(expand_sweep(e, bad_cores), ParamError) << cores;
+  }
+  SweepSpec eight_cores;
+  eight_cores.sets = {{"cores", "8"}};
+  EXPECT_NO_THROW(expand_sweep(e, eight_cores));
 
   SweepSpec conflict;
   conflict.sets = {{"a", "1"}};
@@ -339,6 +349,7 @@ TrialRecord fresh_fig7(const TrialSpec& spec) {
     channel::TestBed bed(make_testbed_config(spec));
     channel::ChannelConfig config;
     config.window = param_u64(spec, "window", 15000);
+    config.setup_retries = 1;  // fig7 retries a failed discovery once
     const auto payload = channel::random_bits(
         param_u64(spec, "bits", 1500), spec.seed * 1000003ULL + spec.trial_index);
     const channel::ChannelSetup setup =
@@ -403,6 +414,32 @@ TEST(Runner, Fig7SharedSetupMatchesTheFreshPath) {
   spec.seeds = 8;  // 221..228; seed 228 needs the monitor-discovery retry
   expect_fig7_matches_fresh_path(
       spec, 0, {{1, true}, {1, false}, {4, true}, {4, false}});
+}
+
+// Only callers that ask for a retry get one: seed 228's first discovery
+// fails, so the default single-attempt setup (every caller but fig7) still
+// reports it, and one retry recovers the channel.
+TEST(Runner, SetupRetriesAreOptIn) {
+  register_builtin_experiments();
+  SweepSpec spec;
+  spec.sets = {{"bits", "16"}};
+  spec.base_seed = 228;
+  spec.seeds = 1;
+  const TrialSpec trial =
+      expand_sweep(get_experiment("fig7_window_sweep"), spec).front();
+  channel::TestBed once(make_testbed_config(trial));
+  try {
+    channel::setup_covert_channel(once, channel::ChannelConfig{});
+    ADD_FAILURE() << "seed 228's first discovery is expected to fail";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("spy found no monitor address"),
+              std::string::npos)
+        << e.what();
+  }
+  channel::TestBed retried(make_testbed_config(trial));
+  channel::ChannelConfig config;
+  config.setup_retries = 1;
+  EXPECT_TRUE(channel::setup_covert_channel(retried, config).monitor_found);
 }
 
 // A setup that fails — Algorithm 1 under autostarted stride-walker noise
