@@ -362,11 +362,12 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   const std::vector<std::string> columns =
       runtime::swept_keys(experiment, sweep);
 
+  const unsigned workers = runtime::resolve_jobs(jobs, trials.size());
   if (!quiet)
     std::fprintf(stderr, "%s: %zu trial%s, %u job%s\n",
                  experiment.name.c_str(), trials.size(),
-                 trials.size() == 1 ? "" : "s", jobs == 0 ? 0 : jobs,
-                 jobs == 1 ? "" : "s");
+                 trials.size() == 1 ? "" : "s", workers,
+                 workers == 1 ? "" : "s");
   // Trace plumbing: file stream → (JSONL or Chrome) sink → optional
   // sampling decimator. The runner buffers per-trial events and replays
   // them in trial order, so traced sweeps still parallelize.
@@ -470,7 +471,6 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
       if (progress) progress(record);
     };
     runner.stream = &stream;
-    runner.keep_records = false;
     runtime::SetupStats setup_stats;
     runtime::run_trials(experiment, trials, runner, &setup_stats);
     if (runner.trace_sink) runner.trace_sink->flush();

@@ -359,12 +359,14 @@ struct ScalingBenchResult {
 ScalingBenchResult run_scaling_bench() {
   const runtime::Experiment& experiment =
       runtime::get_experiment("mitigations");
+  // A 5,000-trial marginal window: at jobs=4 a 256-trial window finishes in
+  // ~25 ms, too short to resolve the thread hand-off from scheduler noise.
   const auto base_trials = mitigations_grid(4);
-  const auto full_trials = tile_grid(base_trials, 65);
+  const auto full_trials = tile_grid(base_trials, 1251);
   const std::size_t window = full_trials.size() - base_trials.size();
 
   // Commit sink that swallows lines: the section measures the runner's
-  // encode/queue/commit pipeline, not the disk.
+  // run/encode/retire path, not the disk.
   struct DiscardStream final : runtime::ResultStream {
     void commit(std::size_t, const std::string*, std::size_t) override {}
   };
@@ -373,7 +375,6 @@ ScalingBenchResult run_scaling_bench() {
   runtime::RunnerConfig config;
   config.reuse_setup = true;
   config.recycle_systems = true;
-  config.keep_records = false;
   config.stream = &discard;
 
   ScalingBenchResult result;
@@ -382,7 +383,7 @@ ScalingBenchResult run_scaling_bench() {
 
   // Allocations/trial of the streaming path, at jobs=1 where the count is
   // deterministic (the parallel count depends on thread interleaving; the
-  // inline pipeline runs the same encode/commit code minus the queue).
+  // inline path runs the same encode/commit code minus the worker threads).
   {
     config.jobs = 1;
     runtime::SetupStats stats;
@@ -956,11 +957,11 @@ int run_perf_suite(const PerfOptions& options) {
       if (!allocs_ok) check_passed = false;
     }
     if (options.run_scaling && options.run_campaign) {
-      // Streaming swaps record retention for worker-side encoding; the
-      // exchange-through-the-queue contract must keep the per-trial
+      // Streaming swaps record retention for worker-side encoding; reusing
+      // each ring slot's record and line buffers must keep the per-trial
       // allocation count in the recycled in-memory path's regime. Both
       // figures are deterministic jobs=1 marginals, so the bound is tight:
-      // 10% headroom plus a small absolute slack for the pipeline's
+      // 10% headroom plus a small absolute slack for the runner's
       // fixed-size warmup objects amortized over the window.
       const bool streaming_ok =
           scaling.streaming_allocs_per_trial <=

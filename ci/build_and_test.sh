@@ -10,7 +10,7 @@
 # diff, counters JSONL); build trees also leave obs_artifacts/ dirs behind.
 set -euo pipefail
 
-# Usage: build_and_test.sh [all|hardened|perf|nosimd|shard|tsan]
+# Usage: build_and_test.sh [all|hardened|perf|nosimd|shard|tsan|load]
 #   all       (default) plain + sanitized builds, full suite, determinism smoke
 #   hardened  warnings-hardened configuration only (-Wall -Wextra -Wshadow
 #             -Werror); runs as its own CI job so shadowing regressions fail
@@ -38,9 +38,14 @@ set -euo pipefail
 #             must match a --no-reuse-setup reference. Then two fig7 seeds
 #             whose first monitor discovery fails must set up anyway.
 #   tsan      -DMEECC_SANITIZE=thread build; runs the parallel suites that
-#             hammer the lock-free MPSC queue, the committer pipeline, and
-#             the atomic bed-pool stats, so every data race on the per-trial
-#             result path fails CI instead of corrupting a campaign
+#             drive the runner's result ring (worker fill, in-order
+#             retirement, the window wait) and the bed-pool stats, so every
+#             data race on the per-trial result path fails CI instead of
+#             corrupting a campaign
+#   load      the bounded-window gate: runs the 100k-trial streaming RSS
+#             test and the trial-window test 50 times each while two fig7
+#             test processes compete for the cores, so a bound that holds
+#             only on an idle host fails here
 STAGE="${1:-all}"
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -232,23 +237,48 @@ elif [ "$STAGE" = "shard" ]; then
   echo "CI OK (shard)"
   exit 0
 elif [ "$STAGE" = "tsan" ]; then
-  echo "=== thread-sanitized build (lock-free result pipeline) ==="
+  echo "=== thread-sanitized build (result ring) ==="
   DIR="$ROOT/build-ci-tsan"
   cmake -B "$DIR" -S "$ROOT" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMEECC_SANITIZE=thread
   cmake --build "$DIR" -j "$JOBS" \
-    --target mpsc_queue_test runtime_test campaign_test snapshot_test
-  # The parallel suites that drive the MPSC queue, the committer pipeline,
-  # and the atomic bed-pool stats hard enough for TSan to see every
-  # producer/consumer pairing on the per-trial result path.
-  "$DIR/tests/mpsc_queue_test"
+    --target runtime_test campaign_test snapshot_test
+  # The parallel suites that drive the result ring and the bed-pool stats
+  # hard enough for TSan to see every worker/retirer pairing on the
+  # per-trial result path; the window test wraps the ring many times.
   "$DIR/tests/runtime_test"
+  "$DIR/tests/runtime_test" \
+    --gtest_filter='Runner.TrialWindowBoundsRunAheadBehindAStalledTrial' \
+    --gtest_repeat=5
   "$DIR/tests/campaign_test"
   "$DIR/tests/snapshot_test" --gtest_filter='Runner.*:BedPool.*'
   echo "CI OK (tsan)"
   exit 0
+elif [ "$STAGE" = "load" ]; then
+  echo "=== bounded-window gate under background load ==="
+  DIR="$ROOT/build-ci-load"
+  cmake -B "$DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMEECC_WERROR=ON
+  cmake --build "$DIR" -j "$JOBS" --target runtime_test campaign_test
+  # Two fig7 test processes repeating until killed keep the cores busy, so
+  # the worker holding the oldest trial gets descheduled as it does under
+  # a parallel ctest run.
+  LOAD=()
+  for _ in 1 2; do
+    "$DIR/tests/runtime_test" --gtest_filter='Runner.Fig7*' \
+      --gtest_repeat=-1 > /dev/null 2>&1 &
+    LOAD+=("$!")
+  done
+  trap 'kill "${LOAD[@]}" 2> /dev/null || true; collect_artifacts' EXIT
+  "$DIR/tests/campaign_test" \
+    --gtest_filter='CampaignStreaming.HundredThousandTrialRssStaysFlat' \
+    --gtest_repeat=50 --gtest_brief=1
+  "$DIR/tests/runtime_test" \
+    --gtest_filter='Runner.TrialWindowBoundsRunAheadBehindAStalledTrial' \
+    --gtest_repeat=50 --gtest_brief=1
+  echo "CI OK (load)"
+  exit 0
 elif [ "$STAGE" != "all" ]; then
-  echo "unknown stage '$STAGE' (expected: all, hardened, perf, nosimd, shard, tsan)" >&2
+  echo "unknown stage '$STAGE' (expected: all, hardened, perf, nosimd, shard, tsan, load)" >&2
   exit 2
 fi
 

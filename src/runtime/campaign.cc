@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -291,17 +292,15 @@ CampaignShardResult run_campaign_shard(const Experiment& experiment,
   std::size_t count = range.end - first;
   if (options.stop_after != 0 && options.stop_after < count)
     count = options.stop_after;
-  const std::vector<TrialSpec> work(trials.begin() + first,
-                                    trials.begin() + first + count);
 
   std::ofstream out(data_path, std::ios::binary | std::ios::app);
   if (!out) throw std::runtime_error("cannot append to '" + data_path + "'");
 
-  // Commit sink for the runner's streaming pipeline: workers encode lines
-  // off-lock, the committer restores trial order and hands us contiguous
-  // batches (runner.h ResultStream). One flush + one atomic manifest
-  // rewrite per batch; positions are run-local (the work slice starts at
-  // the watermark), so committed = watermark + first + count.
+  // Commit sink for the runner's result ring: workers encode lines, the
+  // runner retires them in trial order and hands us contiguous batches
+  // (runner.h ResultStream). One flush + one atomic manifest rewrite per
+  // batch; positions are run-local (the work slice starts at the
+  // watermark), so committed = watermark + first + count.
   class ShardCommitter final : public ResultStream {
    public:
     ShardCommitter(std::ofstream& data, std::string path,
@@ -339,14 +338,16 @@ CampaignShardResult run_campaign_shard(const Experiment& experiment,
 
   RunnerConfig runner = options.runner;
   runner.stream = &committer;
-  runner.keep_records = !options.streaming;
   const auto chained = options.runner.on_trial;
+  if (!options.streaming) result.records.reserve(count);
   std::size_t failures = 0;
   runner.on_trial = [&](const TrialRecord& record) {
     if (!record.ok) ++failures;
+    if (!options.streaming) result.records.push_back(record);
     if (chained) chained(record);
   };
-  result.records = run_trials(experiment, work, runner, &result.setup_stats);
+  run_trials(experiment, std::span(trials).subspan(first, count), runner,
+             &result.setup_stats);
   result.failures = failures;
 
   // Every line passed through the committer in order, so the manifest on

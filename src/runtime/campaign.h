@@ -18,9 +18,8 @@
 // (temp file + rename) — so after a kill at ANY point, the first
 // `committed` lines of the shard JSONL are valid and everything after them
 // is garbage a resume may discard. Results finish out of order under
-// --jobs N; the runner's committer pipeline (runner.h ResultStream)
-// restores trial order and hands this file contiguous in-order batches of
-// up to kCommitBatch lines, so the shard pays one flush and one manifest
+// --jobs N; the runner retires them in trial order (runner.h) and hands
+// this file contiguous in-order batches of up to kCommitBatch lines, so the shard pays one flush and one manifest
 // rewrite per batch instead of per trial. The watermark still only ever
 // trails durable lines — batching changes commit granularity, never the
 // crash-consistency invariant.

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <utility>
 
-#include "common/mpsc_queue.h"
 #include "obs/scope.h"
 #include "runtime/bed_pool.h"
 #include "runtime/setup_cache.h"
@@ -19,33 +19,30 @@ namespace meecc::runtime {
 
 namespace {
 
-/// Per-in-flight-trial trace buffer: holds one trial's events until the
-/// committer replays them into the real sink in trial order. TraceEvent
-/// string fields point at static storage by contract, so buffering is
-/// safe. Buffers ride the result queue and are recycled through it, so a
-/// traced parallel sweep holds one buffer per in-flight trial — not one
-/// per campaign trial as the old per-sweep vector did.
+/// One trial's trace events, held in its slot until retirement replays
+/// them into the real sink in trial order. TraceEvent string fields point
+/// at static storage by contract, so buffering is safe.
 class BufferSink : public obs::TraceSink {
  public:
   void emit(const obs::TraceEvent& event) override { events_.push_back(event); }
   void replay_into(obs::TraceSink& sink) const {
     for (const auto& event : events_) sink.emit(event);
   }
-  void clear() { events_.clear(); }
 
  private:
   std::vector<obs::TraceEvent> events_;
 };
 
-/// One finished trial in flight from a worker to the committer. Strings
-/// and the trace buffer circulate through the queue's swap-based exchange
-/// (see common/mpsc_queue.h), so the steady-state hot path reuses their
-/// capacity instead of reallocating per trial.
-struct ResultMsg {
-  std::size_t index = 0;
+/// One position of the result ring. Every trial that maps to the slot
+/// reuses its record and line, so their capacity carries over from trial
+/// to trial.
+struct Slot {
   TrialRecord record;
   std::string line;  ///< encoded JSONL + '\n' when streaming
+  /// The trial's trace events at jobs > 1, from run to retirement only: a
+  /// trace can run to millions of events, so retired slots keep none.
   std::unique_ptr<BufferSink> trace;
+  bool ready = false;  ///< guarded by the ring mutex
 };
 
 TrialRecord run_one(const Experiment& experiment, const TrialSpec& spec,
@@ -71,97 +68,21 @@ TrialRecord run_one(const Experiment& experiment, const TrialSpec& spec,
   return record;
 }
 
-/// Single-consumer side of the result path: restores trial order with a
-/// reorder buffer, replays trace buffers, batches stream commits, and
-/// optionally retires records into the caller's vector. Runs inline on
-/// the calling thread at jobs<=1 and on the committer thread otherwise —
-/// never on more than one thread, so it needs no locks.
-class CommitPipeline {
- public:
-  CommitPipeline(const RunnerConfig& config, std::vector<TrialRecord>* records)
-      : config_(config), records_(records) {
-    if (config_.stream != nullptr) batch_.resize(kCommitBatch);
-  }
-
-  /// Consumes one finished trial, in any completion order. on_trial fires
-  /// here (completion order); everything order-sensitive waits for the
-  /// contiguous prefix.
-  void feed(ResultMsg& msg) {
-    if (config_.on_trial) config_.on_trial(msg.record);
-    if (msg.index != next_) {
-      pending_.emplace(msg.index, std::move(msg));
-      return;
-    }
-    retire(msg);
-    ++next_;
-    while (!pending_.empty() && pending_.begin()->first == next_) {
-      retire(pending_.begin()->second);
-      pending_.erase(pending_.begin());
-      ++next_;
-    }
-  }
-
-  /// Commits whatever in-order lines are batched (partial batch). Called
-  /// when the queue runs dry so a slow producer never leaves durable-ready
-  /// lines sitting in memory, and from finish().
-  void flush_batch() {
-    if (batch_used_ == 0) return;
-    config_.stream->commit(batch_first_, batch_.data(), batch_used_);
-    batch_used_ = 0;
-  }
-
-  void finish() { flush_batch(); }
-
- private:
-  /// Trial-order retirement: trace replay, stream batching, record keep.
-  void retire(ResultMsg& msg) {
-    if (msg.trace && config_.trace_sink != nullptr)
-      msg.trace->replay_into(*config_.trace_sink);
-    if (config_.stream != nullptr) {
-      if (batch_used_ == 0) batch_first_ = msg.index;
-      // Swap, not copy: the stale committed line's capacity goes back to
-      // the message (and through the queue to a worker).
-      batch_[batch_used_].swap(msg.line);
-      if (++batch_used_ == kCommitBatch) flush_batch();
-    }
-    if (records_ != nullptr) (*records_)[msg.index] = std::move(msg.record);
-  }
-
-  const RunnerConfig& config_;
-  std::vector<TrialRecord>* records_;
-  std::size_t next_ = 0;
-  /// Results that finished ahead of their turn, keyed by trial index.
-  /// Bounded by the in-flight window (queue capacity + jobs), not the
-  /// campaign size.
-  std::map<std::size_t, ResultMsg> pending_;
-  std::vector<std::string> batch_;
-  std::size_t batch_first_ = 0;
-  std::size_t batch_used_ = 0;
-};
-
-/// Results queued from workers to the committer. Small on purpose: it
-/// bounds the reorder window (and so peak memory) while staying deep
-/// enough that workers never stall on a committer doing a batched write.
-constexpr std::size_t kQueueCapacity = 256;
-
 }  // namespace
 
+unsigned resolve_jobs(unsigned jobs, std::size_t trials) {
+  if (jobs == 0) jobs = std::thread::hardware_concurrency();
+  return static_cast<unsigned>(
+      std::clamp<std::size_t>(jobs, 1, std::max<std::size_t>(trials, 1)));
+}
+
 std::vector<TrialRecord> run_trials(const Experiment& experiment,
-                                    const std::vector<TrialSpec>& trials,
+                                    std::span<const TrialSpec> trials,
                                     const RunnerConfig& config,
                                     SetupStats* stats) {
-  std::vector<TrialRecord> records(config.keep_records ? trials.size() : 0);
-
-  unsigned jobs = config.jobs ? config.jobs : std::thread::hardware_concurrency();
-  if (jobs == 0) jobs = 1;
-  jobs = static_cast<unsigned>(
-      std::min<std::size_t>(jobs, std::max<std::size_t>(trials.size(), 1)));
-
-  // Sinks are single-threaded; parallel traced sweeps write each trial's
-  // events into a buffer that rides the queue, and the committer replays
-  // buffers in trial order.
-  const bool buffer_traces = config.trace_sink != nullptr && jobs > 1;
+  const unsigned jobs = resolve_jobs(config.jobs, trials.size());
   const bool encode = config.stream != nullptr;
+  std::vector<TrialRecord> records(encode ? 0 : trials.size());
 
   // Setup reuse is off while tracing: setup-phase events would fire once
   // per shared state instead of once per trial, breaking trace diffs.
@@ -174,142 +95,156 @@ std::vector<TrialRecord> run_trials(const Experiment& experiment,
   // construction-phase events a fresh one would emit.
   const bool recycle = config.recycle_systems && config.trace_sink == nullptr;
 
-  std::atomic<std::uint64_t> bed_recycles{0};
-  std::atomic<std::uint64_t> bed_discards{0};
-  std::atomic<std::size_t> next{0};
-  // First-exception capture: whoever claims the flag stores their
-  // exception; everyone else just stops. Rethrown after the joins.
-  std::atomic<bool> stop{false};
-  std::atomic<bool> error_claimed{false};
-  std::exception_ptr first_error;
-  auto claim_error = [&] {
-    if (!error_claimed.exchange(true)) first_error = std::current_exception();
-    stop.store(true, std::memory_order_relaxed);
+  // jobs=1 retires each trial right after running it, so one slot will do.
+  const std::size_t ring =
+      std::min(jobs == 1 ? std::size_t{1} : kTrialWindow, trials.size());
+  std::vector<Slot> slots(ring);
+
+  // Runs trials[i] into its slot. Sinks are single-threaded, so at jobs > 1
+  // the trial's events go to the slot's buffer instead of the sink.
+  const auto fill = [&](Slot& slot, std::size_t i, BedPool& bed_pool) {
+    obs::TraceSink* sink = config.trace_sink;
+    if (sink != nullptr && jobs > 1) {
+      slot.trace = std::make_unique<BufferSink>();
+      sink = slot.trace.get();
+    }
+    slot.record = run_one(experiment, trials[i], sink, cache_ptr,
+                          recycle ? &bed_pool : nullptr);
+    if (encode) {
+      slot.line.clear();
+      append_json_line(slot.line, slot.record);
+      slot.line.push_back('\n');
+    }
   };
 
-  CommitPipeline pipeline(config, config.keep_records ? &records : nullptr);
+  std::vector<std::string> batch(encode ? kCommitBatch : 0);
+  std::size_t batch_first = 0;
+  std::size_t batch_used = 0;
+  const auto flush = [&] {
+    if (batch_used == 0) return;
+    config.stream->commit(batch_first, batch.data(), batch_used);
+    batch_used = 0;
+  };
 
-  if (jobs <= 1) {
-    // Fully inline: no queue, no threads; trace events go straight to the
-    // sink and exceptions from on_trial / stream->commit propagate
-    // naturally to the caller.
-    BedPool bed_pool;
-    ResultMsg msg;
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      msg.record = run_one(experiment, trials[i], config.trace_sink, cache_ptr,
-                           recycle ? &bed_pool : nullptr);
-      msg.index = i;
-      if (encode) {
-        msg.line.clear();
-        append_json_line(msg.line, msg.record);
-        msg.line.push_back('\n');
-      }
-      pipeline.feed(msg);
+  // Ring state shared with the workers, all guarded by `mutex`: trials
+  // [0, retired) are retired, a slot is ready once its trial has run, and
+  // the first worker or retirer exception stops the sweep.
+  std::mutex mutex;
+  std::condition_variable slot_ready;  // the retirer waits here
+  std::condition_variable slot_free;   // workers wait here
+  std::size_t retired = 0;
+  bool stop = false;
+  std::exception_ptr error;
+  std::uint64_t bed_recycles = 0;
+  std::uint64_t bed_discards = 0;
+  const auto fail = [&](std::exception_ptr e) {
+    {
+      std::lock_guard lock(mutex);
+      if (!error) error = std::move(e);
+      stop = true;
     }
-    pipeline.finish();
-    bed_recycles.store(bed_pool.recycles(), std::memory_order_relaxed);
-    bed_discards.store(bed_pool.discards(), std::memory_order_relaxed);
+    slot_ready.notify_all();
+    slot_free.notify_all();
+  };
+
+  // The calling thread's retirement loop. At jobs=1 it also runs each
+  // trial; otherwise it waits for the trial's slot, pushing out the
+  // partial batch first so lines never sit behind a slow trial.
+  BedPool caller_pool;
+  const auto retire_all = [&] {
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      Slot& slot = slots[i % ring];
+      if (jobs == 1) {
+        fill(slot, i, caller_pool);
+      } else {
+        std::unique_lock lock(mutex);
+        if (!slot.ready) {
+          lock.unlock();
+          flush();
+          lock.lock();
+        }
+        slot_ready.wait(lock, [&] { return stop || slot.ready; });
+        if (stop) return;
+      }
+      if (config.on_trial) config.on_trial(slot.record);
+      if (slot.trace) {
+        slot.trace->replay_into(*config.trace_sink);
+        slot.trace.reset();
+      }
+      if (encode) {
+        if (batch_used == 0) batch_first = i;
+        // Swap, not copy: the committed line's capacity goes back to the
+        // slot for its next trial.
+        batch[batch_used].swap(slot.line);
+        if (++batch_used == kCommitBatch) flush();
+      } else {
+        records[i] = std::move(slot.record);
+      }
+      if (jobs > 1) {
+        {
+          std::lock_guard lock(mutex);
+          slot.ready = false;
+          ++retired;
+        }
+        slot_free.notify_all();
+      }
+    }
+    flush();
+  };
+
+  // A worker may run trial i only once trial i - ring has retired and
+  // freed the slot. The worker holding the oldest unretired trial always
+  // passes that check, so the ring cannot deadlock.
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    BedPool bed_pool;
+    try {
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= trials.size()) break;
+        Slot& slot = slots[i % ring];
+        {
+          std::unique_lock lock(mutex);
+          slot_free.wait(lock, [&] { return stop || i < retired + ring; });
+          if (stop) break;
+        }
+        fill(slot, i, bed_pool);
+        {
+          std::lock_guard lock(mutex);
+          slot.ready = true;
+        }
+        slot_ready.notify_one();
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    std::lock_guard lock(mutex);
+    bed_recycles += bed_pool.recycles();
+    bed_discards += bed_pool.discards();
+  };
+
+  if (jobs == 1) {
+    retire_all();
   } else {
-    // A committer thread is only needed when someone consumes results in
-    // a serialized order (stream, on_trial, trace replay); a plain
-    // in-memory sweep writes its slot directly and skips the queue.
-    const bool use_committer =
-        encode || static_cast<bool>(config.on_trial) || buffer_traces;
-    MpscQueue<ResultMsg> queue(kQueueCapacity);
-    std::atomic<bool> producers_done{false};
-
-    auto worker = [&] {
-      BedPool bed_pool;
-      try {
-        ResultMsg msg;
-        for (;;) {
-          if (stop.load(std::memory_order_relaxed)) break;
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= trials.size()) break;
-          obs::TraceSink* sink = config.trace_sink;
-          if (buffer_traces) {
-            // Recycle the buffer the queue handed back; allocate only
-            // when this worker has none in hand.
-            if (msg.trace)
-              msg.trace->clear();
-            else
-              msg.trace = std::make_unique<BufferSink>();
-            sink = msg.trace.get();
-          }
-          msg.record = run_one(experiment, trials[i], sink, cache_ptr,
-                               recycle ? &bed_pool : nullptr);
-          msg.index = i;
-          if (encode) {
-            msg.line.clear();
-            append_json_line(msg.line, msg.record);
-            msg.line.push_back('\n');
-          }
-          if (use_committer)
-            queue.push(msg);
-          else if (config.keep_records)
-            records[i] = std::move(msg.record);
-        }
-      } catch (...) {
-        claim_error();
-      }
-      bed_recycles.fetch_add(bed_pool.recycles(), std::memory_order_relaxed);
-      bed_discards.fetch_add(bed_pool.discards(), std::memory_order_relaxed);
-    };
-
-    auto committer = [&] {
-      ResultMsg msg;
-      try {
-        for (;;) {
-          if (queue.try_pop(msg)) {
-            pipeline.feed(msg);
-            continue;
-          }
-          // Queue ran dry: push the partial batch out rather than sit on
-          // durable-ready lines, then check for shutdown.
-          pipeline.flush_batch();
-          if (producers_done.load(std::memory_order_acquire)) {
-            if (!queue.try_pop(msg)) break;
-            pipeline.feed(msg);
-            continue;
-          }
-          std::this_thread::yield();
-        }
-        pipeline.finish();
-      } catch (...) {
-        claim_error();
-        // Keep draining (and discarding) so producers blocked on a full
-        // queue can observe `stop` and exit; only then may we leave.
-        for (;;) {
-          if (queue.try_pop(msg)) continue;
-          if (producers_done.load(std::memory_order_acquire)) {
-            if (!queue.try_pop(msg)) break;
-          } else {
-            std::this_thread::yield();
-          }
-        }
-      }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(jobs + 1);
-    if (use_committer) pool.emplace_back(committer);
     std::vector<std::thread> workers;
     workers.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) workers.emplace_back(worker);
+    try {
+      for (unsigned t = 0; t < jobs; ++t) workers.emplace_back(worker);
+      retire_all();
+    } catch (...) {
+      fail(std::current_exception());
+    }
     for (auto& thread : workers) thread.join();
-    producers_done.store(true, std::memory_order_release);
-    for (auto& thread : pool) thread.join();
+    if (error) std::rethrow_exception(error);
   }
-
-  if (first_error) std::rethrow_exception(first_error);
 
   if (stats != nullptr)
     *stats = SetupStats{
         .memory_hits = setup_cache.memory_hits(),
         .disk_hits = setup_cache.disk_hits(),
         .builds = setup_cache.builds(),
-        .bed_recycles = bed_recycles.load(std::memory_order_relaxed),
-        .bed_discards = bed_discards.load(std::memory_order_relaxed)};
+        .bed_recycles = bed_recycles + caller_pool.recycles(),
+        .bed_discards = bed_discards + caller_pool.discards()};
   return records;
 }
 

@@ -4,19 +4,22 @@
 // no mutable state and the pool is embarrassingly parallel. Every trial's
 // seed comes from the spec, so output is bit-identical at any job count.
 //
-// Results leave the pool two ways, composable per RunnerConfig:
-//   - the in-memory API: run_trials returns a vector in trial order
-//     (keep_records, the default), exactly as before;
-//   - the streaming path: workers encode each finished record into a JSONL
-//     line off any lock and hand it through a bounded lock-free MPSC queue
-//     to a single committer, which restores trial order and feeds a
-//     ResultStream in contiguous batches. With keep_records=false nothing
-//     accumulates, so peak RSS is independent of trial count — the mode
-//     campaigns and `meecc_bench run --streaming` use.
+// Results leave the pool through one bounded window: a fixed ring of
+// kTrialWindow slots indexed by trial % kTrialWindow. A worker claims
+// trial i, waits until trial i - kTrialWindow has retired, then runs the
+// trial, encodes its JSONL line into slot i and marks the slot ready. The
+// calling thread alone retires slots in trial order: it fires on_trial,
+// replays the trace, and either batches the line into the ResultStream or
+// moves the record into the returned vector. At most kTrialWindow trials
+// are ever in flight, so peak memory is independent of trial count, and
+// the worker holding the oldest unretired trial always passes its own
+// window check, so the ring cannot deadlock. At jobs=1 no thread starts:
+// the caller runs each trial into the slot and retires it at once.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,9 +47,9 @@ struct TrialRecord {
 /// newline-terminated JSONL lines (append_json_line bytes) covering trial
 /// positions [first, first + count) of the trials vector passed to
 /// run_trials — always contiguous, always in order, each position exactly
-/// once across the run. Calls arrive on the committer thread (jobs > 1) or
-/// the calling thread (jobs <= 1), never concurrently. An exception thrown
-/// from commit() stops the sweep and rethrows from run_trials.
+/// once across the run. Calls arrive on the thread that called run_trials.
+/// An exception thrown from commit() stops the sweep and rethrows from
+/// run_trials.
 class ResultStream {
  public:
   virtual ~ResultStream() = default;
@@ -56,26 +59,20 @@ class ResultStream {
 
 struct RunnerConfig {
   unsigned jobs = 1;  ///< worker threads; 0 means hardware_concurrency()
-  /// Completion callback (progress reporting). Called in completion order
-  /// — NOT trial order — from the committer thread (jobs > 1) or the
-  /// calling thread (jobs <= 1); never concurrently with itself or with
-  /// stream->commit. An exception thrown here stops the sweep and
-  /// rethrows from run_trials.
+  /// Retirement callback (progress reporting). Called in trial order on
+  /// the thread that called run_trials, before the trial's line reaches
+  /// the stream. An exception thrown here stops the sweep and rethrows
+  /// from run_trials.
   std::function<void(const TrialRecord&)> on_trial;
   /// Streaming consumer (see ResultStream). Non-null turns on worker-side
-  /// JSONL encoding and the committer pipeline; lines are committed in
-  /// trial-order batches of up to kCommitBatch.
+  /// JSONL encoding; lines are committed in trial-order batches of up to
+  /// kCommitBatch, and run_trials returns no records — each one is dropped
+  /// after on_trial, so memory stays bounded for million-trial campaigns.
   ResultStream* stream = nullptr;
-  /// When false, run_trials returns an empty vector and each TrialRecord
-  /// is dropped as soon as the committer has passed it to on_trial /
-  /// stream — bounded memory for million-trial campaigns. Callers get
-  /// results via stream/on_trial only.
-  bool keep_records = true;
   /// Borrowed trace sink. Sinks are single-threaded by contract; with
-  /// jobs > 1 the runner buffers each trial's events in a per-in-flight
-  /// buffer and the committer replays the buffers into the sink in trial
-  /// order, so traced sweeps parallelize and the output is byte-identical
-  /// to jobs=1.
+  /// jobs > 1 each trial's events go to its slot's buffer and are replayed
+  /// into the sink at retirement, in trial order, so traced sweeps
+  /// parallelize and the output is byte-identical to jobs=1.
   obs::TraceSink* trace_sink = nullptr;
   /// Reuse warm setup state across trials sharing an Experiment::setup_key
   /// (snapshot/fork execution). Ignored for experiments without a
@@ -95,9 +92,13 @@ struct RunnerConfig {
   bool recycle_systems = true;
 };
 
-/// Most in-order lines the committer hands one ResultStream::commit call
-/// (one flush + one watermark update per batch on the campaign path).
+/// Most in-order lines one ResultStream::commit call receives (one flush +
+/// one watermark update per batch on the campaign path).
 inline constexpr std::size_t kCommitBatch = 64;
+
+/// Slots in the result ring: at most this many trials are claimed but not
+/// yet retired at any moment, whatever the job count or thread timing.
+inline constexpr std::size_t kTrialWindow = 256;
 
 /// Sweep-wide setup-reuse statistics (zeros when reuse was off). A warm
 /// state is resolved exactly one way per (process, key): found in memory,
@@ -112,15 +113,18 @@ struct SetupStats {
   std::uint64_t bed_discards = 0;
 };
 
+/// Worker threads run_trials uses for `jobs` (0 = hardware concurrency)
+/// over `trials` trials: at least 1, at most max(trials, 1).
+unsigned resolve_jobs(unsigned jobs, std::size_t trials);
+
 /// Runs every trial through experiment.run. A throwing trial is recorded
 /// (ok=false, error=what()) without aborting the sweep; an exception from
-/// on_trial or stream->commit stops the sweep, is captured (first wins),
-/// and rethrows here after the pool joins. The returned vector is in trial
-/// order regardless of completion order (empty when !config.keep_records).
-/// `stats`, when non-null, receives the sweep's setup-cache resolution
-/// counts.
+/// on_trial or stream->commit stops the sweep and rethrows here after the
+/// workers join. Returns the records in trial order when config.stream is
+/// null, and an empty vector otherwise. `stats`, when non-null, receives
+/// the sweep's setup-cache resolution counts.
 std::vector<TrialRecord> run_trials(const Experiment& experiment,
-                                    const std::vector<TrialSpec>& trials,
+                                    std::span<const TrialSpec> trials,
                                     const RunnerConfig& config,
                                     SetupStats* stats = nullptr);
 

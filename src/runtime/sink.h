@@ -58,8 +58,8 @@ void write_jsonl(std::ostream& out, const std::vector<TrialRecord>& records);
 
 /// ResultStream appending committed lines to an ostream: the bounded-memory
 /// `--json --streaming` path. Output is byte-identical to write_jsonl over
-/// the same records — lines arrive from the runner's committer already in
-/// trial order.
+/// the same records — lines arrive from the runner already in trial
+/// order.
 class JsonlResultStream final : public ResultStream {
  public:
   explicit JsonlResultStream(std::ostream& out) : out_(out) {}

@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "channel/covert_channel.h"
 #include "channel/testbed.h"
@@ -376,33 +380,46 @@ struct RunMode {
 
 /// fig7 through the runner — one Algorithm 1 per seed, forked or recycled
 /// beds — equals the hand-composed fresh path line for line, counters
-/// included, in each of `modes`.
+/// included, in each of `modes`. The fresh path and the modes share no
+/// state, so they run side by side.
 void expect_fig7_matches_fresh_path(const SweepSpec& spec,
                                     std::size_t failures_expected,
                                     const std::vector<RunMode>& modes) {
   register_builtin_experiments();
   const Experiment& fig7 = get_experiment("fig7_window_sweep");
   const auto trials = expand_sweep(fig7, spec);
+  auto fresh = std::async(std::launch::async, [&] {
+    std::vector<TrialRecord> records;
+    for (const TrialSpec& trial : trials) records.push_back(fresh_fig7(trial));
+    return records;
+  });
+  std::vector<std::future<std::pair<std::vector<TrialRecord>, SetupStats>>>
+      runs;
+  for (const RunMode& mode : modes)
+    runs.push_back(std::async(std::launch::async, [&, mode] {
+      RunnerConfig config;
+      config.jobs = mode.jobs;
+      config.recycle_systems = mode.recycle;
+      SetupStats stats;
+      auto records = run_trials(fig7, trials, config, &stats);
+      return std::pair(std::move(records), stats);
+    }));
+
   std::vector<std::string> want;
   std::size_t failures = 0;
-  for (const TrialSpec& trial : trials) {
-    const TrialRecord record = fresh_fig7(trial);
+  for (const TrialRecord& record : fresh.get()) {
     if (!record.ok) ++failures;
     want.push_back(to_json_line(record));
   }
   EXPECT_EQ(failures, failures_expected);
-  for (const RunMode& mode : modes) {
-    RunnerConfig config;
-    config.jobs = mode.jobs;
-    config.recycle_systems = mode.recycle;
-    SetupStats stats;
-    const auto records = run_trials(fig7, trials, config, &stats);
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    const auto [records, stats] = runs[m].get();
     EXPECT_EQ(stats.builds, static_cast<std::uint64_t>(spec.seeds));
     ASSERT_EQ(records.size(), want.size());
     for (std::size_t i = 0; i < records.size(); ++i)
       EXPECT_EQ(to_json_line(records[i]), want[i])
-          << "trial " << i << " jobs " << mode.jobs << " recycle "
-          << mode.recycle;
+          << "trial " << i << " jobs " << modes[m].jobs << " recycle "
+          << modes[m].recycle;
   }
 }
 
@@ -569,8 +586,8 @@ class CollectStream final : public ResultStream {
 
 // The streaming path must be an encoding of the in-memory path, not a
 // reimplementation: bytes out of the stream equal write_jsonl of the
-// records, at any job count, and keep_records=false only changes what the
-// caller gets back — on_trial still sees every full record.
+// records, at any job count, and a stream only changes what the caller
+// gets back — on_trial still sees every full record.
 TEST(Runner, StreamingMatchesInMemoryJsonlAtAnyJobCount) {
   const Experiment e = synthetic("runtime_test_streaming");
   SweepSpec spec;
@@ -591,13 +608,12 @@ TEST(Runner, StreamingMatchesInMemoryJsonlAtAnyJobCount) {
     RunnerConfig config;
     config.jobs = jobs;
     config.stream = &stream;
-    config.keep_records = false;
     config.on_trial = [&](const TrialRecord& record) {
       ++seen;
       if (record.ok && !record.result.metrics.empty()) ++full_records;
     };
     const auto records = run_trials(e, trials, config);
-    EXPECT_TRUE(records.empty()) << "keep_records=false must drop records";
+    EXPECT_TRUE(records.empty()) << "a streaming run must drop records";
     EXPECT_EQ(seen.load(), trials.size());
     EXPECT_EQ(full_records.load(), trials.size());
     EXPECT_EQ(stream.committed(), trials.size());
@@ -605,29 +621,69 @@ TEST(Runner, StreamingMatchesInMemoryJsonlAtAnyJobCount) {
   }
 }
 
-// stream and keep_records are independent switches: both on means the
-// in-memory API keeps its shape while the bytes also go out the stream.
-TEST(Runner, StreamWithKeptRecordsReturnsBoth) {
-  const Experiment e = synthetic("runtime_test_stream_keep");
-  SweepSpec spec;
-  spec.axes = {{"a", {"1", "2"}}};
-  spec.seeds = 3;
-  const auto trials = expand_sweep(e, spec);
+// The result ring bounds how far workers run ahead of the oldest
+// unretired trial. Trial 0 stalls while 2,000 instant trials queue behind
+// it: without the window the other workers would finish them all and pile
+// up their results. At most kTrialWindow trials may be started but not yet
+// part of the prefix on_trial has delivered, on_trial sees trials in
+// order, and the bytes do not change.
+TEST(Runner, TrialWindowBoundsRunAheadBehindAStalledTrial) {
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> seen{0};  // trials [0, seen) reached on_trial
+  std::atomic<std::size_t> high_water{0};
+  Experiment e = synthetic("runtime_test_window");
+  const auto body = e.run;
+  e.run = [&, body](const TrialSpec& spec) {
+    const std::size_t in_flight = started.fetch_add(1) + 1 - seen.load();
+    std::size_t high = high_water.load();
+    while (in_flight > high &&
+           !high_water.compare_exchange_weak(high, in_flight)) {
+    }
+    if (spec.trial_index == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return body(spec);
+  };
+  std::vector<TrialSpec> trials(2001);
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    trials[i].experiment = e.name;
+    trials[i].trial_index = i;
+    trials[i].seed = i;
+  }
 
-  CollectStream stream;
-  RunnerConfig config;
-  config.jobs = 4;
-  config.stream = &stream;
-  const auto records = run_trials(e, trials, config);
-  ASSERT_EQ(records.size(), trials.size());
-  std::ostringstream from_records;
-  write_jsonl(from_records, records);
-  EXPECT_EQ(stream.text(), from_records.str());
+  const auto stream_at = [&](unsigned jobs) {
+    started = 0;
+    seen = 0;
+    high_water = 0;
+    CollectStream stream;
+    RunnerConfig config;
+    config.jobs = jobs;
+    config.stream = &stream;
+    bool in_order = true;
+    std::vector<char> delivered(trials.size(), 0);
+    config.on_trial = [&](const TrialRecord& record) {
+      const std::size_t i = record.spec.trial_index;
+      if (i != seen.load()) in_order = false;
+      delivered[i] = 1;
+      std::size_t prefix = seen.load();
+      while (prefix < delivered.size() && delivered[prefix]) ++prefix;
+      seen = prefix;
+    };
+    run_trials(e, trials, config);
+    EXPECT_TRUE(in_order) << "on_trial out of trial order at jobs=" << jobs;
+    EXPECT_EQ(seen.load(), trials.size());
+    EXPECT_EQ(stream.committed(), trials.size());
+    return stream.text();
+  };
+
+  const std::string reference = stream_at(1);
+  EXPECT_EQ(high_water.load(), 1u);
+  EXPECT_EQ(stream_at(4), reference);
+  EXPECT_LE(high_water.load(), kTrialWindow);
 }
 
-// Regression: before the committer pipeline, a throwing on_trial callback
-// escaped a worker thread and took the process down via std::terminate.
-// The contract now is capture-first-exception, drain, rethrow after join.
+// Regression: a throwing on_trial callback once escaped a worker thread
+// and took the process down via std::terminate. The contract is: stop the
+// sweep, join the workers, rethrow from run_trials.
 TEST(Runner, CallbackExceptionIsRethrownAfterJoin) {
   const Experiment e = synthetic("runtime_test_callback_throw");
   std::vector<TrialSpec> trials(32);
@@ -671,7 +727,6 @@ TEST(Runner, StreamExceptionIsRethrownAfterJoin) {
     RunnerConfig config;
     config.jobs = jobs;
     config.stream = &stream;
-    config.keep_records = false;
     EXPECT_THROW(run_trials(e, trials, config), std::runtime_error)
         << "jobs=" << jobs;
   }

@@ -620,10 +620,7 @@ TEST(Runner, MergedJsonlByteIdenticalAcrossJobsShardsAndRecycling) {
       runtime::RunnerConfig config;
       config.jobs = jobs;
       config.recycle_systems = recycle;
-      if (streaming) {
-        config.stream = &stream;
-        config.keep_records = false;
-      }
+      if (streaming) config.stream = &stream;
       const std::vector<runtime::TrialRecord> records =
           runtime::run_trials(experiment, slice, config);
       if (!streaming) runtime::write_jsonl(out, records);
